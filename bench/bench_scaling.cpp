@@ -9,11 +9,14 @@
 /// offer a speed advantage when applied to strongly stiff systems" — the
 /// Eq. 13 coil variant with decreasing inductance adds a progressively
 /// faster parasitic mode and the explicit step count grows accordingly.
+/// Two batch sections follow: (c) lockstep batch-size scaling on identical
+/// jobs and (d) lockstep composed with the thread pool on a 2-class sweep.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <thread>
 #include <vector>
 
 #include "baseline/nr_engine.hpp"
@@ -148,9 +151,66 @@ int main() {
               exact ? "YES" : "NO");
   std::printf("expm finals within 1e-3 of per-job: %s\n", bounded ? "YES" : "NO");
 
+  // (d) Lockstep composed with the thread pool: 2 parameter classes x 4
+  // clone-prefix members (step targets at 3/4 span). Each class is its own
+  // lockstep march, so on 2 threads the classes march concurrently; the
+  // composed arm must beat both single-mechanism arms. Each arm keeps its
+  // best of three runs.
+  std::printf("\n--- (d) lockstep x thread pool: 2 classes x 4 clones ---\n");
+  std::vector<ScenarioJob> sweep;
+  for (const double sleep_ohms : {1e9, 2e8}) {
+    for (const double hz : {69.0, 71.0, 72.0, 74.0}) {
+      ExperimentSpec spec = charging_scenario(span);
+      spec.with_mcu = true;
+      spec.overrides.push_back(ParamOverride{"load.sleep_ohms", sleep_ohms});
+      spec.excitation.step_frequency(0.75 * span, hz);
+      sweep.push_back(ScenarioJob{spec, std::nullopt});
+    }
+  }
+  const auto best_wall = [&](BatchOptions options, std::vector<ScenarioResult>& out) {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      WallTimer timer;
+      out = run_scenario_batch(sweep, options);
+      const double wall = timer.elapsed_seconds();
+      best = rep == 0 ? wall : std::min(best, wall);
+    }
+    return best;
+  };
+  std::vector<ScenarioResult> lockstep_serial, jobs_parallel, composed;
+  const double lockstep_serial_wall = best_wall(
+      BatchOptions{.threads = 1, .batch_kernel = BatchKernel::kLockstep}, lockstep_serial);
+  const double jobs_parallel_wall =
+      best_wall(BatchOptions{.threads = 2, .batch_kernel = BatchKernel::kJobs}, jobs_parallel);
+  const double composed_wall = best_wall(
+      BatchOptions{.threads = 2, .batch_kernel = BatchKernel::kLockstep}, composed);
+  bool thread_invariant = true;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    thread_invariant = thread_invariant && composed[i].vc == lockstep_serial[i].vc &&
+                       composed[i].stats.steps == lockstep_serial[i].stats.steps;
+  }
+  TablePrinter compose_table({"arm", "threads", "wall", "composed speed-up"});
+  compose_table.add_row({"lockstep", "1", format_duration(lockstep_serial_wall),
+                         format_double(lockstep_serial_wall / composed_wall, 3) + "x"});
+  compose_table.add_row({"jobs", "2", format_duration(jobs_parallel_wall),
+                         format_double(jobs_parallel_wall / composed_wall, 3) + "x"});
+  compose_table.add_row({"lockstep", "2", format_duration(composed_wall), "-"});
+  compose_table.print(std::cout);
+  std::printf("\nlockstep results identical at 1 and 2 threads: %s\n",
+              thread_invariant ? "YES" : "NO");
+
+  io::JsonValue composition = io::JsonValue::make_object();
+  composition.set("classes", 2.0);
+  composition.set("clones_per_class", 4.0);
+  composition.set("lockstep_1_thread_wall_seconds", lockstep_serial_wall);
+  composition.set("jobs_2_threads_wall_seconds", jobs_parallel_wall);
+  composition.set("lockstep_2_threads_wall_seconds", composed_wall);
+  composition.set("thread_invariant", thread_invariant);
+
   io::JsonValue doc = io::JsonValue::make_object();
   doc.set("bench", "scaling_lockstep_batch");
   doc.set("rows", std::move(rows));
+  doc.set("composition", std::move(composition));
   ehsim::benchio::maybe_write_bench_json(doc);
 
   // A 4-member identical batch must come in at least 2x over per-job serial
@@ -159,6 +219,18 @@ int main() {
     std::printf("FAIL: lockstep identical-batch speedup %.2fx < 2x at 4 jobs "
                 "(or exactness lost)\n",
                 speedup_at_four);
+    return EXIT_FAILURE;
+  }
+  if (!thread_invariant) {
+    std::printf("FAIL: lockstep results changed with the thread count\n");
+    return EXIT_FAILURE;
+  }
+  if (std::thread::hardware_concurrency() < 2) {
+    std::printf("SKIP: composed-arm assertion needs >= 2 hardware threads\n");
+  } else if (!(composed_wall < lockstep_serial_wall && composed_wall < jobs_parallel_wall)) {
+    std::printf("FAIL: lockstep on 2 threads (%.3f s) does not beat lockstep on 1 thread "
+                "(%.3f s) and jobs on 2 threads (%.3f s)\n",
+                composed_wall, lockstep_serial_wall, jobs_parallel_wall);
     return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;

@@ -20,7 +20,7 @@
 /// AnalogEngine interface as the proposed solver, so every comparison in
 /// bench/ is apples-to-apples. What it deliberately does NOT emulate is the
 /// constant interpreter/elaboration overhead of the commercial tools, so
-/// measured speed-ups are a lower bound on the paper's (see DESIGN.md §3).
+/// measured speed-ups are a lower bound on the paper's (see docs/baselines.md).
 #pragma once
 
 #include <limits>
@@ -35,8 +35,8 @@ namespace ehsim::baseline {
 
 /// Implicit discretisation used by a baseline profile.
 enum class BaselineMethod {
-  kBackwardEuler,  ///< SystemC-A profile
-  kTrapezoidal,    ///< SystemVision / VHDL-AMS profile
+  kBackwardEuler,  ///< first order; Gear-2's start-up step
+  kTrapezoidal,    ///< SystemVision / VHDL-AMS and SystemC-A profiles
   kGear2,          ///< OrCAD PSPICE profile
 };
 
@@ -149,9 +149,9 @@ class NrEngine final : public core::AnalogEngine {
 
 /// Baseline profiles emulating the paper's Table I simulators. The
 /// differences (integration method, tolerance and step policies) are chosen
-/// to mirror each tool's documented behaviour; see DESIGN.md §3.
+/// to mirror each tool's documented behaviour; see docs/baselines.md.
 [[nodiscard]] NrEngineConfig systemvision_profile();  ///< VHDL-AMS, trapezoidal
 [[nodiscard]] NrEngineConfig pspice_profile();        ///< OrCAD, Gear-2, print-step capped
-[[nodiscard]] NrEngineConfig systemca_profile();      ///< SystemC-A, backward Euler
+[[nodiscard]] NrEngineConfig systemca_profile();      ///< SystemC-A, tight trapezoidal
 
 }  // namespace ehsim::baseline

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -184,8 +185,8 @@ PreparedExperiment prepare_experiment(const ExperimentSpec& spec, const RunOptio
 
 /// Assemble the ScenarioResult of a prepared session whose transient has
 /// completed. \p cpu_seconds is passed explicitly because the lockstep
-/// kernels advance members outside Session::run_until (the shared march
-/// wall-clock is attributed evenly across the batch).
+/// kernels advance members outside Session::run_until (each class's march
+/// wall-clock is attributed evenly across that class's members).
 ScenarioResult collect_experiment(const ExperimentSpec& spec, PreparedExperiment& prep,
                                   double cpu_seconds) {
   sim::HarvesterSession& run = *prep.session;
@@ -536,12 +537,13 @@ double excitation_divergence(const ExcitationSchedule& a, const ExcitationSchedu
 
 /// The lockstep execution path of run_scenario_batch: prepare every job
 /// serially (warm seeds compose exactly as under kJobs), derive the clone /
-/// sharing structure from the job list, march the whole batch on one clock
-/// and collect results in job order. With \p checkpointing non-null the
-/// march is cut into global chunks of `every` simulated seconds — a fresh
-/// lockstep march per chunk, work-sharing caches reset at each boundary —
-/// and every job checkpoints at every boundary; returns std::nullopt only
-/// when the abort_after test hook stopped the batch.
+/// sharing structure from the job list, march each parameter class on its
+/// own clock — the classes concurrently on the thread pool — and collect
+/// results in job order. With \p checkpointing non-null the march is cut
+/// into global chunks of `every` simulated seconds — fresh lockstep marches
+/// per chunk, work-sharing caches reset at each boundary — and every job
+/// checkpoints at every boundary; returns std::nullopt only when the
+/// abort_after test hook stopped the batch.
 std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
     const std::vector<std::uint64_t>& signatures, OperatingPointCache& cache,
@@ -586,17 +588,19 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
                          boundary_index, total);
   }
 
-  // Equivalence classes of bitwise-identical device parameters — the
-  // lockstep kernel only shares linearisations within a class.
-  std::vector<std::size_t> param_class(n, 0);
+  // Equivalence classes of bitwise-identical device parameters, in job
+  // order. Linearisations are only shared within a class, so each class
+  // marches as its own LockstepBatch and the classes march concurrently.
+  // The split depends only on the job list, never on the thread count.
+  std::vector<std::vector<std::size_t>> classes;
   for (std::size_t i = 0; i < n; ++i) {
-    param_class[i] = i;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (param_class[j] == j && params[j] == params[i]) {
-        param_class[i] = j;
-        break;
-      }
+    auto same = std::find_if(classes.begin(), classes.end(), [&](const auto& members_of) {
+      return params[members_of.front()] == params[i];
+    });
+    if (same == classes.end()) {
+      same = classes.emplace(classes.end());
     }
+    same->push_back(i);
   }
 
   // Clone relations and sharing horizons. Two jobs are clones up to time d
@@ -610,22 +614,24 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
   std::vector<std::size_t> clone_leader(n, sim::LockstepMember::kNoLeader);
   std::vector<double> diverges_at(n, 0.0);
   std::vector<double> share_after(n, kInf);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i || param_class[j] != param_class[i]) {
-        continue;
-      }
-      double divergence = 0.0;
-      if (clone_compatible_specs(jobs[i].spec, jobs[j].spec) &&
-          prepared[i].warm_start == prepared[j].warm_start &&
-          prepared[i].initial_terminals == prepared[j].initial_terminals) {
-        divergence = excitation_divergence(jobs[i].spec.excitation, jobs[j].spec.excitation);
-      }
-      share_after[i] = std::min(share_after[i], divergence);
-      if (j < i && divergence > 0.0 &&
-          clone_leader[i] == sim::LockstepMember::kNoLeader) {
-        clone_leader[i] = j;
-        diverges_at[i] = divergence;
+  for (const std::vector<std::size_t>& members_of : classes) {
+    for (const std::size_t i : members_of) {
+      for (const std::size_t j : members_of) {
+        if (j == i) {
+          continue;
+        }
+        double divergence = 0.0;
+        if (clone_compatible_specs(jobs[i].spec, jobs[j].spec) &&
+            prepared[i].warm_start == prepared[j].warm_start &&
+            prepared[i].initial_terminals == prepared[j].initial_terminals) {
+          divergence = excitation_divergence(jobs[i].spec.excitation, jobs[j].spec.excitation);
+        }
+        share_after[i] = std::min(share_after[i], divergence);
+        if (j < i && divergence > 0.0 &&
+            clone_leader[i] == sim::LockstepMember::kNoLeader) {
+          clone_leader[i] = j;
+          diverges_at[i] = divergence;
+        }
       }
     }
   }
@@ -641,7 +647,6 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     members[i].kernel = prepared[i].session->session().kernel();
     members[i].t_end = jobs[i].spec.duration;
     members[i].profile = &prepared[i].session->system().vibration();
-    members[i].param_class = param_class[i];
     members[i].share_after = share_after[i];
     members[i].clone_leader = clone_leader[i];
     members[i].diverges_at = diverges_at[i];
@@ -651,16 +656,20 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
   lockstep_options.use_expm = options.batch_kernel == BatchKernel::kLockstepExpm;
 
   // March in chunks. Without checkpointing this is a single chunk over the
-  // full horizon — exactly the one-batch behaviour. With a checkpoint period
-  // every chunk ends on an absolute boundary k * every; a fresh LockstepBatch
-  // per chunk resets the cross-time linearisation pool and expm cache there,
-  // which is what makes a resumed batch (whose caches start empty)
-  // bit-identical to an uninterrupted checkpointed one.
+  // full horizon — exactly the one-batch-per-class behaviour. With a
+  // checkpoint period every chunk ends on an absolute boundary k * every; a
+  // fresh LockstepBatch per chunk resets the cross-time linearisation pool
+  // and expm cache there, which is what makes a resumed batch (whose caches
+  // start empty) bit-identical to an uninterrupted checkpointed one. The
+  // class marches join at each boundary, before any checkpoint is staged.
   double horizon = 0.0;
   for (const ScenarioJob& job : jobs) {
     horizon = std::max(horizon, job.spec.duration);
   }
   const bool chunked = checkpointing != nullptr && checkpointing->every > 0.0;
+  const std::size_t threads =
+      options.threads == 0 ? std::thread::hardware_concurrency() : options.threads;
+  sim::BatchRunner runner(std::clamp<std::size_t>(threads, 1, classes.size()));
   std::vector<double> march_cpu(n, 0.0);
   double t_reached = *std::max_element(job_time.begin(), job_time.end());
   int written = 0;
@@ -669,28 +678,28 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
         chunked ? std::min(horizon, static_cast<double>(boundary_index + 1) *
                                         checkpointing->every)
                 : horizon;
-    std::vector<std::size_t> active;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (job_time[i] < jobs[i].spec.duration) {
-        active.push_back(i);
-      }
-    }
-    if (!active.empty()) {
-      std::vector<std::size_t> position(n, sim::LockstepMember::kNoLeader);
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        position[active[k]] = k;
-      }
+    // Each task touches only its own class's members and slots.
+    std::vector<sim::LockstepCounters> class_counters(classes.size());
+    runner.for_each_index(classes.size(), [&](std::size_t c) {
+      std::vector<std::size_t> active;
       std::vector<sim::LockstepMember> chunk;
-      chunk.reserve(active.size());
-      for (const std::size_t i : active) {
+      for (const std::size_t i : classes[c]) {
+        if (job_time[i] >= jobs[i].spec.duration) {
+          continue;
+        }
         sim::LockstepMember member = members[i];
         member.t_end = std::min(jobs[i].spec.duration, target);
         if (member.clone_leader != sim::LockstepMember::kNoLeader) {
           // Clones share a duration (clone_compatible_specs), so an active
-          // follower's leader is still active — the remap never dangles.
-          member.clone_leader = position[member.clone_leader];
+          // follower's leader is still active and precedes it in the chunk.
+          const auto leader = std::find(active.begin(), active.end(), member.clone_leader);
+          member.clone_leader = static_cast<std::size_t>(leader - active.begin());
         }
+        active.push_back(i);
         chunk.push_back(member);
+      }
+      if (chunk.empty()) {
+        return;
       }
       sim::LockstepBatch batch(std::move(chunk), lockstep_options);
       // lint:allow wall-clock -- march timing feeds only cpu_seconds
@@ -700,12 +709,15 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
           // lint:allow wall-clock
           std::chrono::duration<double>(std::chrono::steady_clock::now() - march_begin)
               .count();
-      accumulate(total, batch.counters());
+      class_counters[c] = batch.counters();
       for (const std::size_t i : active) {
-        // The march wall-clock is shared work; attribute it evenly.
+        // The class march is shared work; attribute it evenly to its members.
         march_cpu[i] += march_seconds / static_cast<double>(active.size());
         job_time[i] = std::min(jobs[i].spec.duration, target);
       }
+    });
+    for (const sim::LockstepCounters& counters : class_counters) {
+      accumulate(total, counters);
     }
     t_reached = target;
     if (chunked) {

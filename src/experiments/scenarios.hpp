@@ -56,16 +56,18 @@ enum class BatchKernel {
   /// Independent jobs over the thread pool (the default; bit-identical to a
   /// serial run of the same jobs).
   kJobs,
-  /// Lockstep SoA march (sim/lockstep_batch.hpp): every job advances on one
-  /// global clock and jobs with coinciding linearisation signatures share
-  /// one Jacobian assembly + LU factorisation per step. Requires
+  /// Lockstep SoA march (sim/lockstep_batch.hpp): the jobs of each
+  /// parameter class (bitwise-identical device parameters) advance on one
+  /// clock, and jobs with coinciding linearisation signatures share one
+  /// Jacobian assembly + LU factorisation per step. Requires
   /// EngineKind::kProposed on every job. Batches of identical jobs (and the
   /// identical prefix of sweep points that differ only in later excitation
   /// events) reproduce the per-job trajectories bit for bit; once members
   /// diverge, shared linearisations keep results within the documented
-  /// io::compare tolerances of the per-job reference. The march is serial —
-  /// BatchOptions::threads is ignored, and results are identical for any
-  /// requested thread count.
+  /// io::compare tolerances of the per-job reference. Classes march
+  /// independently and concurrently on BatchOptions::threads workers; the
+  /// split depends only on the job list, so results are identical for any
+  /// thread count.
   kLockstep,
   /// kLockstep plus exact matrix-exponential propagation of stretches where
   /// every member's linearisation holds still on a fixed-frequency

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -35,7 +36,6 @@ constexpr std::size_t kPoolCapacity = 64;
 
 /// Cross-time cache of one assembled + factorised linearisation.
 struct LockstepBatch::PoolEntry {
-  std::size_t param_class = 0;
   std::uint64_t signature = 0;
   linalg::Matrix jxx, jxy, jyx, jyy;
   linalg::LuFactorization lu;
@@ -60,9 +60,6 @@ LockstepBatch::LockstepBatch(std::vector<LockstepMember> members, LockstepOption
       const LockstepMember& leader = members_[m.clone_leader];
       if (leader.clone_leader != LockstepMember::kNoLeader) {
         throw ModelError("LockstepBatch: clone sets must be flat (leader has a leader)");
-      }
-      if (leader.param_class != m.param_class) {
-        throw ModelError("LockstepBatch: clone follower/leader parameter mismatch");
       }
     }
   }
@@ -160,27 +157,43 @@ void LockstepBatch::advance_to_barrier(std::vector<std::size_t>& live, double ta
   }
 }
 
+/// One shared linearisation of the current step.
+struct LockstepBatch::StepBuild {
+  std::uint64_t signature = 0;
+  std::vector<std::size_t> group;  // builder first, then adopters
+};
+
+/// A stability cap recomputed in the current step.
+struct LockstepBatch::StepCap {
+  std::uint64_t signature = 0;
+  std::size_t owner = 0;
+};
+
 void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
                                 std::vector<char>& rebuilt) {
-  // One shared linearisation per (param class, signature) per step; the
-  // first member to need it builds (or pulls it from the cross-time pool),
-  // later members adopt and join its elimination group.
-  struct StepBuild {
-    std::size_t param_class;
-    std::uint64_t signature;
-    std::vector<std::size_t> group;  // builder first, then adopters
+  // One shared linearisation per signature per step; the first member to
+  // need it builds (or pulls it from the cross-time pool), later members
+  // adopt and join its elimination group. The scratch below keeps its
+  // capacity across steps, so a step does not allocate.
+  std::size_t build_count = 0;
+  const auto open_build = [&](std::uint64_t signature, std::size_t builder) {
+    if (build_count == builds_.size()) {
+      builds_.emplace_back();
+    }
+    StepBuild& build = builds_[build_count++];
+    build.signature = signature;
+    build.group.assign(1, builder);
   };
-  std::vector<StepBuild> builds;
-  std::vector<char> eliminated(members_.size(), 0);
-  std::vector<char> leader_consumed(members_.size(), 0);
-  std::vector<std::size_t> followers;
+  eliminated_.assign(members_.size(), 0);
+  leader_consumed_.assign(members_.size(), 0);
+  followers_.clear();
 
   for (std::size_t i : live) {
     LockstepMember& m = members_[i];
     core::LinearisedSolver& s = *m.solver;
     rebuilt[i] = 0;
     if (Port::is_fresh(s)) {
-      eliminated[i] = 1;
+      eliminated_[i] = 1;
       continue;
     }
     if (m.clone_leader != LockstepMember::kNoLeader && clock_ < m.diverges_at) {
@@ -188,8 +201,8 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
       // state. The copy must wait until the leader's (possibly deferred)
       // elimination has completed, so followers sync in a dedicated pass
       // after the elimination below.
-      followers.push_back(i);
-      eliminated[i] = 1;
+      followers_.push_back(i);
+      eliminated_[i] = 1;
       continue;
     }
 
@@ -206,8 +219,8 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
         clock_ >= m.share_after && signature_shareable(signature) && !stable;
     bool adopted = false;
     if (may_adopt) {
-      for (StepBuild& build : builds) {
-        if (build.param_class == m.param_class && build.signature == signature) {
+      for (StepBuild& build : std::span(builds_).first(build_count)) {
+        if (build.signature == signature) {
           Port::adopt_linearisation(s, *members_[build.group.front()].solver);
           build.group.push_back(i);
           ++counters_.shared_factorisations;
@@ -217,7 +230,7 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
       }
       if (!adopted) {
         for (const PoolEntry& entry : pool_) {
-          if (entry.param_class == m.param_class && entry.signature == signature) {
+          if (entry.signature == signature) {
             Port::adopt_linearisation(s, entry.jxx, entry.jxy, entry.jyx, entry.jyy,
                                       entry.lu);
             ++counters_.shared_factorisations;
@@ -228,17 +241,17 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
         if (adopted) {
           // This member now carries the pooled linearisation; later members
           // this step adopt from it directly.
-          builds.push_back(StepBuild{m.param_class, signature, {i}});
+          open_build(signature, i);
         }
       }
     }
     if (!adopted) {
       Port::build_linearisation(s);
       if (signature_shareable(signature)) {
-        builds.push_back(StepBuild{m.param_class, signature, {i}});
+        open_build(signature, i);
         PoolEntry* slot = nullptr;
         for (PoolEntry& entry : pool_) {
-          if (entry.param_class == m.param_class && entry.signature == signature) {
+          if (entry.signature == signature) {
             slot = &entry;
             break;
           }
@@ -251,7 +264,6 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
             ++pool_cursor_;
           }
         }
-        slot->param_class = m.param_class;
         slot->signature = signature;
         slot->jxx = Port::jxx(s);
         slot->jxy = Port::jxy(s);
@@ -271,9 +283,7 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
   // Elimination. Groups back-substitute through one SoA multi-RHS solve —
   // per-member rounding identical to a solo solve — everyone else solves
   // against their own cached factorisation.
-  std::vector<double> block;
-  std::vector<double> dy;
-  for (const StepBuild& build : builds) {
+  for (const StepBuild& build : std::span(builds_).first(build_count)) {
     if (build.group.size() < 2) {
       continue;
     }
@@ -281,27 +291,27 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
     const std::size_t k = build.group.size();
     const std::size_t alg = Port::algebraic_residual(*members_[build.group.front()].solver).size();
     if (alg > 0) {
-      block.resize(alg * k);
+      block_.resize(alg * k);
       for (std::size_t j = 0; j < k; ++j) {
         const auto fy = Port::algebraic_residual(*members_[build.group[j]].solver);
         for (std::size_t r = 0; r < alg; ++r) {
-          block[r * k + j] = -fy[r];
+          block_[r * k + j] = -fy[r];
         }
       }
       Port::jyy_lu(*members_[build.group.front()].solver)
-          .solve_multi_inplace(std::span<double>(block), k);
+          .solve_multi_inplace(std::span<double>(block_), k);
     }
-    dy.resize(alg);
+    dy_.resize(alg);
     for (std::size_t j = 0; j < k; ++j) {
       for (std::size_t r = 0; r < alg; ++r) {
-        dy[r] = block[r * k + j];
+        dy_[r] = block_[r * k + j];
       }
-      Port::finish_eliminate(*members_[build.group[j]].solver, std::span<const double>(dy));
-      eliminated[build.group[j]] = 1;
+      Port::finish_eliminate(*members_[build.group[j]].solver, std::span<const double>(dy_));
+      eliminated_[build.group[j]] = 1;
     }
   }
   for (std::size_t i : live) {
-    if (!eliminated[i]) {
+    if (!eliminated_[i]) {
       Port::eliminate_solo(*members_[i].solver);
     }
   }
@@ -309,17 +319,17 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live,
   // Clone followers copy their (now fully refreshed) leader. Bit-identical
   // by construction: the leader marched exactly as its per-job self, and the
   // follower replays identical arithmetic on the copied data.
-  for (std::size_t i : followers) {
+  for (std::size_t i : followers_) {
     const LockstepMember& m = members_[i];
     Port::sync_follower(*m.solver, *members_[m.clone_leader].solver,
                         rebuilt[m.clone_leader] != 0);
     rebuilt[i] = rebuilt[m.clone_leader];
-    leader_consumed[m.clone_leader] = 1;
+    leader_consumed_[m.clone_leader] = 1;
     ++counters_.shared_factorisations;
   }
 
   for (std::size_t i : live) {
-    if (leader_consumed[i]) {
+    if (leader_consumed_[i]) {
       ++counters_.lockstep_groups;
     }
   }
@@ -329,13 +339,8 @@ void LockstepBatch::stability_all(const std::vector<std::size_t>& live) {
   // Step-local registry of freshly recomputed stability caps, keyed like the
   // linearisation groups; recomputes after a batch-wide discontinuity all
   // land on the same step, which is exactly when sharing pays.
-  struct StepCap {
-    std::size_t param_class;
-    std::uint64_t signature;
-    std::size_t owner;
-  };
-  std::vector<StepCap> caps;
-  std::vector<char> recomputed(members_.size(), 0);
+  caps_.clear();
+  recomputed_.assign(members_.size(), 0);
 
   for (std::size_t i : live) {
     LockstepMember& m = members_[i];
@@ -344,7 +349,7 @@ void LockstepBatch::stability_all(const std::vector<std::size_t>& live) {
       // The follower's trigger fields were synced from the leader, so its
       // verdict matches the leader's; copy the recomputed cap when there is
       // one.
-      if (recomputed[m.clone_leader]) {
+      if (recomputed_[m.clone_leader]) {
         Port::sync_follower_stability(s, *members_[m.clone_leader].solver);
       }
       continue;
@@ -355,8 +360,8 @@ void LockstepBatch::stability_all(const std::vector<std::size_t>& live) {
     const std::uint64_t signature = Port::signature(s);
     if (clock_ >= m.share_after && signature_shareable(signature)) {
       bool adopted = false;
-      for (const StepCap& cap : caps) {
-        if (cap.param_class == m.param_class && cap.signature == signature) {
+      for (const StepCap& cap : caps_) {
+        if (cap.signature == signature) {
           Port::adopt_stability(s, *members_[cap.owner].solver);
           adopted = true;
           break;
@@ -367,21 +372,20 @@ void LockstepBatch::stability_all(const std::vector<std::size_t>& live) {
       }
     }
     Port::recompute_stability(s);
-    recomputed[i] = 1;
+    recomputed_[i] = 1;
     if (signature_shareable(signature)) {
-      caps.push_back(StepCap{m.param_class, signature, i});
+      caps_.push_back(StepCap{signature, i});
     }
   }
 }
 
-/// Exact-propagation operators for one (parameters, linearisation,
-/// excitation segment, substep) cell: within the cell the eliminated system
-/// is x' = A x + g0 + gs sin(wt) + gc cos(wt) with the consistent terminals
+/// Exact-propagation operators for one (linearisation, excitation segment,
+/// substep) cell: within the cell the eliminated system is
+/// x' = A x + g0 + gs sin(wt) + gc cos(wt) with the consistent terminals
 /// recovered as y = W x + q0 + qs sin(wt) + qc cos(wt); the augmented state
 /// z = [x, sin(wt), cos(wt), 1] makes that autonomous, so one matrix
 /// exponential P = exp(M h) advances a whole substep.
 struct LockstepBatch::ExpmCell {
-  std::size_t param_class = 0;
   std::uint64_t signature = 0;
   std::uint64_t omega_bits = 0;
   std::uint64_t amp_bits = 0;
@@ -457,7 +461,7 @@ bool LockstepBatch::try_expm_stretch(const std::vector<std::size_t>& live, doubl
     std::size_t cell_index = expm_cache_.size();
     for (std::size_t ci = 0; ci < expm_cache_.size(); ++ci) {
       const ExpmCell& candidate = expm_cache_[ci];
-      if (candidate.param_class == m.param_class && candidate.signature == signature &&
+      if (candidate.signature == signature &&
           candidate.omega_bits == omega_bits && candidate.amp_bits == amp_bits &&
           candidate.phase_bits == phase_bits && candidate.seg_start_bits == seg_start_bits &&
           candidate.h_sub_bits == h_sub_bits) {
@@ -594,7 +598,6 @@ bool LockstepBatch::try_expm_stretch(const std::vector<std::size_t>& live, doubl
       m_aug(n + 1, n) = -omega;
       m_aug.scale(h_sub);
 
-      fresh.param_class = m.param_class;
       fresh.signature = signature;
       fresh.omega_bits = omega_bits;
       fresh.amp_bits = amp_bits;

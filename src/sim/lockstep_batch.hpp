@@ -5,8 +5,9 @@
 /// The per-job path re-derives the same Jacobian assembly and Jyy LU
 /// factorisation in every job; within one run the solver already skips ~half
 /// of the rebuilds through its linearisation signatures, but across jobs all
-/// of that work is repeated N times. This kernel advances the whole batch in
-/// lockstep on a single global clock instead:
+/// of that work is repeated N times. This kernel advances a batch of members
+/// with bitwise-identical device parameters (one parameter class) in
+/// lockstep on a single clock instead:
 ///
 ///  * members are grouped at every step by their linearisation signature
 ///    (core/lockstep_port.hpp exposes the LinearisedSolver machinery); one
@@ -32,6 +33,13 @@
 /// the documented io::compare tolerances of the serial reference (the
 /// adopted Jacobians agree with a private rebuild only to the signature
 /// quantum). docs/spec_format.md "Batch kernel" states the contract.
+///
+/// A LockstepBatch touches nothing outside its own members, so batches over
+/// disjoint members may run concurrently. experiments::run_scenario_batch
+/// splits a multi-class job list into one batch per parameter class and
+/// marches those batches concurrently on the sweep thread pool; the split
+/// depends only on the job list, so results do not depend on the thread
+/// count.
 #pragma once
 
 #include <cstddef>
@@ -56,9 +64,6 @@ struct LockstepMember {
   /// Excitation profile backing the member (expm segment eligibility); may
   /// be null, which only disables exact propagation for the batch.
   const harvester::VibrationProfile* profile = nullptr;
-  /// Equivalence class of members with bitwise-identical device parameters;
-  /// linearisations are only shared within a class.
-  std::size_t param_class = 0;
   /// Clock time after which this member may adopt shared linearisations
   /// (bounded-error). 0: immediately; +inf: never (stays exact).
   double share_after = 0.0;
@@ -94,6 +99,8 @@ struct LockstepCounters {
 };
 
 /// Advances every member to its t_end on one global clock; see file header.
+/// Members share linearisations, so they must have bitwise-identical device
+/// parameters.
 class LockstepBatch {
  public:
   /// Validates the batch: non-null initialised solvers, a common
@@ -112,6 +119,8 @@ class LockstepBatch {
  private:
   struct PoolEntry;  // cross-time linearisation cache (lockstep_batch.cpp)
   struct ExpmCell;   // cached exact-propagation operators (lockstep_batch.cpp)
+  struct StepBuild;  // per-step linearisation group (lockstep_batch.cpp)
+  struct StepCap;    // per-step recomputed stability cap (lockstep_batch.cpp)
 
   /// March every live member to the barrier time \p target.
   void advance_to_barrier(std::vector<std::size_t>& live, double target);
@@ -134,6 +143,13 @@ class LockstepBatch {
   /// immediately would thrash multistep restarts against tiny stretches.
   double expm_backoff_until_ = 0.0;
   double clock_ = 0.0;
+  // Per-step scratch of refresh_all / stability_all, kept across steps so
+  // the march does not allocate every step.
+  std::vector<StepBuild> builds_;
+  std::vector<StepCap> caps_;
+  std::vector<char> eliminated_, leader_consumed_, recomputed_;
+  std::vector<std::size_t> followers_;
+  std::vector<double> block_, dy_;
 };
 
 }  // namespace ehsim::sim

@@ -262,7 +262,9 @@ TEST(Checkpoint, ResumeWithoutFilesStartsFresh) {
 
 // ---- sweeps across all three batch kernels --------------------------------
 
-SweepSpec small_sweep(BatchKernel kernel) {
+/// Three step targets; with \p two_classes also two sleep loads, so a
+/// lockstep kernel marches two parameter classes concurrently.
+SweepSpec small_sweep(BatchKernel kernel, bool two_classes = false) {
   SweepSpec sweep;
   sweep.base = small_spec();
   sweep.base.name = "ckpt-sweep";
@@ -273,11 +275,18 @@ SweepSpec small_sweep(BatchKernel kernel) {
   axis.param = "excitation.event[0].frequency_hz";
   axis.values = {70.5, 71.0, 71.5};
   sweep.axes.push_back(axis);
+  if (two_classes) {
+    SweepAxis load;
+    load.param = "load.sleep_ohms";
+    load.values = {1e9, 2e8};
+    sweep.axes.push_back(load);
+  }
   return sweep;
 }
 
-void check_sweep_kill_resume(BatchKernel kernel, const std::string& tag) {
-  const SweepSpec sweep = small_sweep(kernel);
+void check_sweep_kill_resume(BatchKernel kernel, const std::string& tag,
+                             bool two_classes = false) {
+  const SweepSpec sweep = small_sweep(kernel, two_classes);
   BatchOptions options;
   options.threads = 2;
   options.batch_kernel = kernel;
@@ -307,14 +316,19 @@ void check_sweep_kill_resume(BatchKernel kernel, const std::string& tag) {
   }
 }
 
-TEST(Checkpoint, SweepKillResumeJobs) { check_sweep_kill_resume(BatchKernel::kJobs, "jobs"); }
+TEST(Checkpoint, SweepKillResumeJobs) {
+  check_sweep_kill_resume(BatchKernel::kJobs, "jobs");
+  check_sweep_kill_resume(BatchKernel::kJobs, "jobs_2class", true);
+}
 
 TEST(Checkpoint, SweepKillResumeLockstep) {
   check_sweep_kill_resume(BatchKernel::kLockstep, "lockstep");
+  check_sweep_kill_resume(BatchKernel::kLockstep, "lockstep_2class", true);
 }
 
 TEST(Checkpoint, SweepKillResumeLockstepExpm) {
   check_sweep_kill_resume(BatchKernel::kLockstepExpm, "lockstep_expm");
+  check_sweep_kill_resume(BatchKernel::kLockstepExpm, "lockstep_expm_2class", true);
 }
 
 TEST(Checkpoint, LockstepCheckpointRefusesJobsResume) {

@@ -9,7 +9,9 @@
 ///    the documented io::compare tolerances of its per-job reference;
 ///  * lockstep_expm stays within the same bounds while taking exact
 ///    matrix-exponential stretches;
-///  * the march is serial, so results are identical for any thread count.
+///  * parameter classes march independently and concurrently: every member
+///    of a multi-class batch is bit-identical to a batch holding only its
+///    own class, and results do not depend on the thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -224,24 +226,86 @@ TEST(LockstepBatch, ExpmKernelStaysWithinBounds) {
   EXPECT_GT(stats.expm_segments, 0u) << "expm never engaged on a still, sinusoidal stretch";
 }
 
-TEST(LockstepBatch, DeterministicAcrossThreadCounts) {
-  // The lockstep march is serial by construction; the threads option must
-  // not change a single bit.
+/// Two parameter classes (sleep loads) x three clone-prefix members
+/// (frequency-step targets), interleaved in job order: a small copy of the
+/// benchmark's multi-class sweep.
+std::vector<ScenarioJob> two_class_jobs() {
   std::vector<ScenarioJob> jobs;
+  for (const double hz : {69.0, 71.0, 73.0}) {
+    for (const double ohms : {1e9, 2e8}) {
+      ScenarioJob job;
+      job.spec = lockstep_spec(1.0);
+      job.spec.excitation.step_frequency(0.5, hz);
+      job.spec.overrides.push_back({"load.sleep_ohms", ohms});
+      jobs.push_back(std::move(job));
+    }
+  }
+  return jobs;
+}
+
+TEST(LockstepBatch, MultiClassMembersBitIdenticalToOwnClassBatch) {
+  // Classes share nothing, so each marches on its own clock: a member of
+  // the mixed batch steps exactly like it does in a batch of its class only.
+  const std::vector<ScenarioJob> jobs = two_class_jobs();
+  BatchStats mixed_stats;
+  const auto mixed = run_with_kernel(jobs, BatchKernel::kLockstep, &mixed_stats, 2);
+  ASSERT_EQ(mixed.size(), jobs.size());
+
+  BatchStats summed;
+  for (std::size_t first = 0; first < 2; ++first) {
+    std::vector<ScenarioJob> own_class;
+    for (std::size_t i = first; i < jobs.size(); i += 2) {
+      own_class.push_back(jobs[i]);
+    }
+    BatchStats own_stats;
+    const auto own = run_with_kernel(own_class, BatchKernel::kLockstep, &own_stats);
+    ASSERT_EQ(own.size(), own_class.size());
+    for (std::size_t k = 0; k < own.size(); ++k) {
+      const ScenarioResult& member = mixed[first + 2 * k];
+      EXPECT_EQ(own[k].stats.steps, member.stats.steps) << "class " << first << " job " << k;
+      EXPECT_EQ(own[k].time, member.time) << "class " << first << " job " << k;
+      EXPECT_EQ(own[k].vc, member.vc) << "class " << first << " job " << k;
+      EXPECT_EQ(own[k].final_vc, member.final_vc) << "class " << first << " job " << k;
+      EXPECT_EQ(own[k].power_mean, member.power_mean) << "class " << first << " job " << k;
+      EXPECT_EQ(own[k].mcu_events.size(), member.mcu_events.size())
+          << "class " << first << " job " << k;
+    }
+    summed.lockstep_groups += own_stats.lockstep_groups;
+    summed.shared_factorisations += own_stats.shared_factorisations;
+  }
+  // The batch counters are the per-class counters summed.
+  EXPECT_EQ(mixed_stats.lockstep_groups, summed.lockstep_groups);
+  EXPECT_EQ(mixed_stats.shared_factorisations, summed.shared_factorisations);
+  EXPECT_GT(mixed_stats.shared_factorisations, 0u);
+}
+
+TEST(LockstepBatch, DeterministicAcrossThreadCounts) {
+  // The class split depends only on the job list, never on the thread
+  // count; the threads option must not change a single bit, for one class
+  // marched alone or several marched concurrently.
+  std::vector<ScenarioJob> one_class;
   for (const double hz : {70.0, 74.0}) {
     ScenarioJob job;
     job.spec = lockstep_spec(1.0);
     job.spec.excitation.step_frequency(0.5, hz);
-    jobs.push_back(std::move(job));
+    one_class.push_back(std::move(job));
   }
 
-  const auto t1 = run_with_kernel(jobs, BatchKernel::kLockstep, nullptr, 1);
-  const auto t2 = run_with_kernel(jobs, BatchKernel::kLockstep, nullptr, 2);
-  const auto t8 = run_with_kernel(jobs, BatchKernel::kLockstep, nullptr, 8);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(t1[i].vc, t2[i].vc) << "job " << i;
-    EXPECT_EQ(t1[i].vc, t8[i].vc) << "job " << i;
-    EXPECT_EQ(t1[i].stats.steps, t8[i].stats.steps) << "job " << i;
+  for (const std::vector<ScenarioJob>& jobs : {one_class, two_class_jobs()}) {
+    BatchStats s1, s2, s8;
+    const auto t1 = run_with_kernel(jobs, BatchKernel::kLockstep, &s1, 1);
+    const auto t2 = run_with_kernel(jobs, BatchKernel::kLockstep, &s2, 2);
+    const auto t8 = run_with_kernel(jobs, BatchKernel::kLockstep, &s8, 8);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(t1[i].vc, t2[i].vc) << "job " << i;
+      EXPECT_EQ(t1[i].vc, t8[i].vc) << "job " << i;
+      EXPECT_EQ(t1[i].time, t8[i].time) << "job " << i;
+      EXPECT_EQ(t1[i].stats.steps, t2[i].stats.steps) << "job " << i;
+      EXPECT_EQ(t1[i].stats.steps, t8[i].stats.steps) << "job " << i;
+    }
+    EXPECT_EQ(s1.shared_factorisations, s2.shared_factorisations);
+    EXPECT_EQ(s1.shared_factorisations, s8.shared_factorisations);
+    EXPECT_EQ(s1.lockstep_groups, s8.lockstep_groups);
   }
 }
 
@@ -295,10 +359,9 @@ TEST(LockstepBatch, ReuseDisabledArmStepIdenticalToPerJob) {
         dynamic_cast<ehsim::core::LinearisedSolver*>(&sessions[i]->engine());
     ASSERT_NE(members[i].solver, nullptr);
     members[i].t_end = 0.4;
-    // Forbid all sharing (distinct classes, never adopt — the configuration
-    // run_lockstep_batch derives for sole-class members): isolates the solo
+    // Forbid all sharing (never adopt — the configuration run_lockstep_batch
+    // derives for members without a duplicate peer): isolates the solo
     // rebuild path, which must stay exact.
-    members[i].param_class = i;
     members[i].share_after = std::numeric_limits<double>::infinity();
   }
   ehsim::sim::LockstepBatch batch(std::move(members));
@@ -316,16 +379,17 @@ TEST(LockstepBatch, ReuseDisabledArmStepIdenticalToPerJob) {
 }
 
 TEST(LockstepBatch, ExpmDeclinesWhenDistinctCellsExceedCache) {
-  // More distinct parameter classes than the expm cell cache holds: every
+  // More distinct expm cells in one class than the cell cache holds: every
   // slot gets pinned by the stretch being assembled, so the kernel must
   // decline exact propagation and fall back to time-stepping (regression for
-  // the eviction scan spinning forever hunting a free slot).
+  // the eviction scan spinning forever hunting a free slot). The members
+  // share their parameters and step to distinct excitation frequencies at
+  // 1 ms, a prefix too short for a stretch to open.
   std::vector<ScenarioJob> jobs(129);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].spec = lockstep_spec(0.1);
+    jobs[i].spec = lockstep_spec(0.02);
     jobs[i].spec.with_mcu = false;
-    jobs[i].spec.overrides.push_back(
-        {"load.sleep_ohms", 40000.0 + 50.0 * static_cast<double>(i)});
+    jobs[i].spec.excitation.step_frequency(1e-3, 65.0 + 0.05 * static_cast<double>(i));
   }
 
   BatchStats stats;
