@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -295,7 +294,7 @@ struct LinearisedSolver::Lockstep {
     follower.stability_due_ = leader.stability_due_;
   }
 
-  // ---- matrix-exponential propagation support -------------------------
+  // ---- raw linearisation access (cross-time pool, grouping) ------------
 
   [[nodiscard]] static const linalg::Matrix& jxx(const LinearisedSolver& s) noexcept {
     return s.jxx_;
@@ -311,44 +310,6 @@ struct LinearisedSolver::Lockstep {
   }
   [[nodiscard]] static std::uint64_t signature(const LinearisedSolver& s) noexcept {
     return s.jacobian_signature_;
-  }
-  [[nodiscard]] static bool jacobians_valid(const LinearisedSolver& s) noexcept {
-    return s.jacobians_valid_;
-  }
-  /// Signature the system would report at the solver's current point,
-  /// without touching the cached one (expm substep divergence check).
-  [[nodiscard]] static std::uint64_t probe_signature(const LinearisedSolver& s) {
-    return s.system_->jacobian_signature(s.t_, s.x_.span(), s.y_.span());
-  }
-  [[nodiscard]] static SystemAssembler& assembler(LinearisedSolver& s) noexcept {
-    return *s.system_;
-  }
-
-  /// Overwrite the solver point after an exact-propagation substep: the
-  /// propagated states, recovered terminals and the new time. Marks the
-  /// point stale so the next refresh re-evaluates from it.
-  static void set_point(LinearisedSolver& s, double t, std::span<const double> x,
-                        std::span<const double> y) {
-    s.t_ = t;
-    std::copy(x.begin(), x.end(), s.x_.span().begin());
-    std::copy(y.begin(), y.end(), s.y_.span().begin());
-    s.fresh_ = false;
-    ++s.stats_.steps;
-  }
-
-  /// Restart the multistep machinery after an exact-propagation stretch —
-  /// the AB history spans a region the solver never stepped through, so it
-  /// must be rebuilt, exactly as after a discontinuity restart. Mirrors
-  /// check_for_discontinuity()'s reset body.
-  static void restart_multistep(LinearisedSolver& s) {
-    s.history_.clear();
-    s.lle_.reset();
-    s.controller_.set_step(s.config_.h_initial);
-    s.stability_due_ = true;
-    s.fresh_ = false;
-    s.jacobians_valid_ = false;
-    s.last_history_time_ = -std::numeric_limits<double>::infinity();
-    ++s.stats_.history_resets;
   }
 };
 

@@ -30,7 +30,7 @@ namespace ehsim::experiments {
 /// Execution options of one run_accuracy call.
 struct AccuracyOptions {
   /// Batch kernels to measure. Empty: all kernels the spec's engine supports
-  /// (jobs + both lockstep kernels for the proposed engine; jobs only for
+  /// (jobs + lockstep for the proposed engine; jobs only for
   /// the NR baselines, which the lockstep march cannot drive).
   std::vector<BatchKernel> kernels{};
   /// Oracle step [s]; <= 0 uses the ref::ReferenceConfig default. The

@@ -117,21 +117,10 @@ void AutotuneSpec::validate() const {
   if (max_evaluations == 0) {
     throw ModelError("AutotuneSpec '" + name + "': evaluation budget must be positive");
   }
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (kernels[j] == kernels[i]) {
-        throw ModelError("AutotuneSpec '" + name + "': duplicate kernel '" +
-                         std::string(batch_kernel_id(kernels[i])) + "'");
-      }
-    }
-  }
 }
 
 AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
   spec.validate();
-
-  const std::vector<BatchKernel> kernels =
-      spec.kernels.empty() ? std::vector<BatchKernel>{BatchKernel::kJobs} : spec.kernels;
 
   // One oracle run of the base: every candidate changes only how the
   // trajectory is computed, so this is the yardstick for all of them.
@@ -158,11 +147,10 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
     return candidate;
   };
 
-  const auto evaluate = [&](const std::vector<double>& values, BatchKernel kernel) {
+  const auto evaluate = [&](const std::vector<double>& values) {
     const ExperimentSpec candidate = spec_for(values);
     BatchOptions batch;
     batch.threads = 1;
-    batch.batch_kernel = kernel;
     const std::vector<ScenarioResult> runs =
         run_scenario_batch({ScenarioJob{candidate, std::nullopt}}, batch);
     Evaluation eval;
@@ -171,7 +159,6 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
     eval.feasible = eval.error <= spec.error_budget;
     AutotuneEvaluation entry;
     entry.values = values;
-    entry.kernel = batch_kernel_id(kernel);
     entry.cost = eval.cost;
     entry.error = eval.error;
     entry.feasible = eval.feasible;
@@ -180,22 +167,22 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
     return eval;
   };
 
-  // Baseline: the base spec exactly as declared, on the first candidate
-  // kernel. The cost_ratio is measured against this.
+  // Baseline: the base spec exactly as declared. The cost_ratio is
+  // measured against this.
   std::vector<double> base_values;
   for (const AutotuneKnob& knob : spec.knobs) {
     base_values.push_back(current_value(spec.base, knob.path));
   }
-  const Evaluation baseline = evaluate(base_values, kernels.front());
+  const Evaluation baseline = evaluate(base_values);
   result.baseline_cost = baseline.cost;
   result.baseline_error = baseline.error;
 
   // Search axes: one continuous [0, n-1] index axis per multi-value knob
-  // (single-value knobs are forced overrides), plus a kernel axis when more
-  // than one kernel is declared. Golden-section probes fractional indices;
-  // rounding + memoisation turn the line search into a ladder walk.
+  // (single-value knobs are forced overrides). Golden-section probes
+  // fractional indices; rounding + memoisation turn the line search into a
+  // ladder walk.
   struct Axis {
-    std::size_t knob = 0;      ///< index into spec.knobs; knobs.size() = kernel axis
+    std::size_t knob = 0;      ///< index into spec.knobs
     std::size_t size = 0;      ///< ladder length
     std::size_t start = 0;     ///< start index
   };
@@ -220,9 +207,6 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
     }
     axes.push_back(axis);
   }
-  if (kernels.size() > 1) {
-    axes.push_back(Axis{spec.knobs.size(), kernels.size(), 0});
-  }
 
   const auto values_for = [&](const std::vector<std::size_t>& indices) {
     std::vector<double> values = base_values;
@@ -233,19 +217,9 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
       }
     }
     for (std::size_t a = 0; a < axes.size(); ++a) {
-      if (axes[a].knob < spec.knobs.size()) {
-        values[axes[a].knob] = spec.knobs[axes[a].knob].values[indices[a]];
-      }
+      values[axes[a].knob] = spec.knobs[axes[a].knob].values[indices[a]];
     }
     return values;
-  };
-  const auto kernel_for = [&](const std::vector<std::size_t>& indices) {
-    for (std::size_t a = 0; a < axes.size(); ++a) {
-      if (axes[a].knob == spec.knobs.size()) {
-        return kernels[indices[a]];
-      }
-    }
-    return kernels.front();
   };
 
   std::map<std::vector<std::size_t>, Evaluation> memo;
@@ -276,12 +250,12 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
     for (const Axis& axis : axes) {
       start_key.push_back(axis.start);
     }
-    if (values_for(start_key) == base_values && kernel_for(start_key) == kernels.front()) {
+    if (values_for(start_key) == base_values) {
       consider(start_key, baseline);
     } else if (axes.empty()) {
       // No search axes, but forced single-value knobs move the config off
       // the baseline: evaluate that one candidate so it can be chosen.
-      consider(start_key, evaluate(values_for(start_key), kernel_for(start_key)));
+      consider(start_key, evaluate(values_for(start_key)));
     }
   }
 
@@ -307,8 +281,7 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
         key.push_back(static_cast<std::size_t>(rounded));
       }
       const auto hit = memo.find(key);
-      const Evaluation eval =
-          hit != memo.end() ? hit->second : evaluate(values_for(key), kernel_for(key));
+      const Evaluation eval = hit != memo.end() ? hit->second : evaluate(values_for(key));
       consider(key, eval);
       // Infeasible candidates rank strictly below every feasible one, and
       // among themselves by distance to the budget — so the descent walks
@@ -324,11 +297,9 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
   // Chosen configuration: cheapest feasible point seen, else (diagnostic)
   // the minimum-error point; with no search axes, the baseline itself.
   std::vector<double> chosen_values = base_values;
-  BatchKernel chosen_kernel = kernels.front();
   Evaluation chosen = baseline;
   if (have_best) {
     chosen_values = values_for(best_key);
-    chosen_kernel = kernel_for(best_key);
     chosen = memo.at(best_key);
   }
   // The baseline competes even when it lies off the search grid: the tuner
@@ -339,22 +310,18 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
       (!baseline.feasible && !chosen.feasible && baseline.error < chosen.error);
   if (baseline_wins) {
     chosen_values = base_values;
-    chosen_kernel = kernels.front();
     chosen = baseline;
   }
   have_feasible = have_feasible || baseline.feasible;
   result.chosen_values = chosen_values;
-  result.chosen_kernel = batch_kernel_id(chosen_kernel);
   result.chosen_cost = chosen.cost;
   result.chosen_error = chosen.error;
   result.cost_ratio = baseline.cost > 0.0 ? chosen.cost / baseline.cost : 0.0;
   result.feasible = have_feasible;
 
   outcome.chosen_spec = spec_for(chosen_values);
-  outcome.chosen_kernel = chosen_kernel;
   BatchOptions batch;
   batch.threads = 1;
-  batch.batch_kernel = chosen_kernel;
   outcome.best_run =
       std::move(run_scenario_batch({ScenarioJob{outcome.chosen_spec, std::nullopt}}, batch)
                     .front());

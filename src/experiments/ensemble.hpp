@@ -7,7 +7,7 @@
 /// different walk seeds and reduces the per-replica scalars to ensemble
 /// statistics (mean, standard error of the mean, min, max) per probe and
 /// for the built-in summary figures. Replicas ride the ordinary
-/// run_scenario_batch fan-out — lockstep kernels, warm starts and the
+/// run_scenario_batch fan-out — the lockstep kernel, warm starts and the
 /// shared diode-table cache all apply — and the reduction accumulates in
 /// job order, so the statistics are bit-identical for any worker count.
 #pragma once

@@ -28,21 +28,18 @@ const char* batch_kernel_id(BatchKernel kernel) {
       return "jobs";
     case BatchKernel::kLockstep:
       return "lockstep";
-    case BatchKernel::kLockstepExpm:
-      return "lockstep_expm";
   }
   return "?";
 }
 
 BatchKernel parse_batch_kernel(std::string_view id) {
-  for (const BatchKernel kernel :
-       {BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm}) {
+  for (const BatchKernel kernel : {BatchKernel::kJobs, BatchKernel::kLockstep}) {
     if (id == batch_kernel_id(kernel)) {
       return kernel;
     }
   }
   throw ModelError("unknown batch kernel '" + std::string(id) +
-                   "' (expected jobs | lockstep | lockstep_expm)");
+                   "' (expected jobs | lockstep)");
 }
 
 ExperimentSpec scenario1() {
@@ -305,7 +302,6 @@ io::JsonValue checkpoint_meta(const ExperimentSpec& spec, const PreparedExperime
     batch.set("kernel", batch_kernel_id(kernel));
     batch.set("lockstep_groups", io::u64_to_json(counters->lockstep_groups));
     batch.set("shared_factorisations", io::u64_to_json(counters->shared_factorisations));
-    batch.set("expm_segments", io::u64_to_json(counters->expm_segments));
     meta.set("batch", std::move(batch));
   } else {
     meta.set("batch", io::JsonValue(nullptr));
@@ -356,9 +352,9 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
   }
   const io::JsonValue& batch = io::require_key(meta, what, "batch");
   if (!batch.is_null()) {
-    const std::string batch_what = what + ".batch";
+    const std::string batch_what = what + ": meta.batch";
     io::check_state_keys(batch, batch_what,
-                         {"kernel", "lockstep_groups", "shared_factorisations", "expm_segments"});
+                         {"kernel", "lockstep_groups", "shared_factorisations"});
     info.has_batch = true;
     info.kernel_id = io::require_key(batch, batch_what, "kernel").as_string();
     info.counters.lockstep_groups = io::u64_from_json(
@@ -366,8 +362,6 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
     info.counters.shared_factorisations =
         io::u64_from_json(io::require_key(batch, batch_what, "shared_factorisations"),
                           batch_what + ".shared_factorisations");
-    info.counters.expm_segments = io::u64_from_json(
-        io::require_key(batch, batch_what, "expm_segments"), batch_what + ".expm_segments");
   }
   return info;
 }
@@ -408,7 +402,6 @@ void verify_batch_kernel(const CheckpointMetaInfo& info, const std::string& kern
 void accumulate(sim::LockstepCounters& into, const sim::LockstepCounters& add) {
   into.lockstep_groups += add.lockstep_groups;
   into.shared_factorisations += add.shared_factorisations;
-  into.expm_segments += add.expm_segments;
 }
 
 /// Restore a checkpointed lockstep batch. All jobs of a lockstep batch
@@ -553,7 +546,7 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     if (job.spec.engine != EngineKind::kProposed) {
       throw ModelError("batch_kernel '" + kernel_id + "': job '" + job.spec.name +
                        "' uses engine '" + engine_kind_id(job.spec.engine) +
-                       "' — the lockstep kernels require the proposed linearised engine");
+                       "' — the lockstep kernel requires the proposed linearised engine");
     }
   }
 
@@ -646,22 +639,18 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     members[i].solver = solver;
     members[i].kernel = prepared[i].session->session().kernel();
     members[i].t_end = jobs[i].spec.duration;
-    members[i].profile = &prepared[i].session->system().vibration();
     members[i].share_after = share_after[i];
     members[i].clone_leader = clone_leader[i];
     members[i].diverges_at = diverges_at[i];
   }
 
-  sim::LockstepOptions lockstep_options;
-  lockstep_options.use_expm = options.batch_kernel == BatchKernel::kLockstepExpm;
-
   // March in chunks. Without checkpointing this is a single chunk over the
   // full horizon — exactly the one-batch-per-class behaviour. With a
   // checkpoint period every chunk ends on an absolute boundary k * every; a
   // fresh LockstepBatch per chunk resets the cross-time linearisation pool
-  // and expm cache there, which is what makes a resumed batch (whose caches
-  // start empty) bit-identical to an uninterrupted checkpointed one. The
-  // class marches join at each boundary, before any checkpoint is staged.
+  // there, which is what makes a resumed batch (whose pool starts empty)
+  // bit-identical to an uninterrupted checkpointed one. The class marches
+  // join at each boundary, before any checkpoint is staged.
   double horizon = 0.0;
   for (const ScenarioJob& job : jobs) {
     horizon = std::max(horizon, job.spec.duration);
@@ -701,7 +690,7 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
       if (chunk.empty()) {
         return;
       }
-      sim::LockstepBatch batch(std::move(chunk), lockstep_options);
+      sim::LockstepBatch batch(std::move(chunk));
       // lint:allow wall-clock -- march timing feeds only cpu_seconds
       const auto march_begin = std::chrono::steady_clock::now();
       batch.run();
@@ -756,7 +745,6 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     result.batch_kernel = options.batch_kernel;
     result.lockstep_groups = total.lockstep_groups;
     result.shared_factorisations = total.shared_factorisations;
-    result.expm_segments = total.expm_segments;
     results.push_back(std::move(result));
   }
   return results;
@@ -919,7 +907,6 @@ void fill_batch_stats(BatchStats* stats, const std::vector<ScenarioResult>& resu
   }
   stats->lockstep_groups = counters.lockstep_groups;
   stats->shared_factorisations = counters.shared_factorisations;
-  stats->expm_segments = counters.expm_segments;
 }
 
 }  // namespace

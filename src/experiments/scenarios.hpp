@@ -69,15 +69,9 @@ enum class BatchKernel {
   /// split depends only on the job list, so results are identical for any
   /// thread count.
   kLockstep,
-  /// kLockstep plus exact matrix-exponential propagation of stretches where
-  /// every member's linearisation holds still on a fixed-frequency
-  /// excitation segment (bounded error by construction of the exact
-  /// segment solution).
-  kLockstepExpm,
 };
 
-/// Stable identifier ("jobs" | "lockstep" | "lockstep_expm") — the JSON /
-/// CLI vocabulary.
+/// Stable identifier ("jobs" | "lockstep") — the JSON / CLI vocabulary.
 [[nodiscard]] const char* batch_kernel_id(BatchKernel kernel);
 /// Inverse of batch_kernel_id; throws ModelError on unknown ids.
 [[nodiscard]] BatchKernel parse_batch_kernel(std::string_view id);
@@ -110,7 +104,6 @@ struct ScenarioResult {
   BatchKernel batch_kernel = BatchKernel::kJobs;
   std::uint64_t lockstep_groups = 0;
   std::uint64_t shared_factorisations = 0;
-  std::uint64_t expm_segments = 0;
 
   std::vector<double> time;  ///< decimated trace times
   std::vector<double> vc;    ///< supercapacitor voltage trace
@@ -249,7 +242,6 @@ struct BatchStats {
   /// semantics in sim/lockstep_batch.hpp (LockstepCounters).
   std::uint64_t lockstep_groups = 0;
   std::uint64_t shared_factorisations = 0;
-  std::uint64_t expm_segments = 0;
 };
 
 /// Execution options of one run_scenario_batch call.
@@ -268,9 +260,9 @@ struct BatchOptions {
   /// Relative parameter quantum of the warm-start signature (<= 0: exact
   /// parameter equality required to share a seed).
   double warm_start_quantum = kWarmStartQuantum;
-  /// Batch execution kernel. The lockstep kernels require every job to run
-  /// EngineKind::kProposed (ModelError otherwise) and march serially; the
-  /// shared march wall-clock is attributed evenly across the jobs'
+  /// Batch execution kernel. The lockstep kernel requires every job to run
+  /// EngineKind::kProposed (ModelError otherwise); each parameter class's
+  /// march wall-clock is attributed evenly across that class's jobs'
   /// ScenarioResult::cpu_seconds. Warm starts compose: the seed phase runs
   /// before the march exactly as under kJobs.
   BatchKernel batch_kernel = BatchKernel::kJobs;
@@ -339,7 +331,7 @@ struct CheckpointOptions {
 
 /// run_scenario_batch with per-job checkpoint files. Under kJobs every job
 /// checkpoints at its own absolute boundaries on the worker threads; under
-/// the lockstep kernels the batch marches in global chunks of `every`
+/// the lockstep kernel the batch marches in global chunks of `every`
 /// simulated seconds with a fresh lockstep march per chunk (work-sharing
 /// caches reset at each boundary — part of the deterministic-chunking
 /// contract) and all jobs checkpoint together at each boundary, with the

@@ -1,6 +1,9 @@
 #include "harvester/supercapacitor.hpp"
 
+#include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
@@ -41,6 +44,14 @@ Supercapacitor::Supercapacitor(const SupercapacitorParams& params, const LoadPar
   }
   if (!(params_.ci0 > 0.0) || !(params_.cd > 0.0) || !(params_.cl > 0.0)) {
     throw ModelError("Supercapacitor: branch capacitances must be positive");
+  }
+  for (const auto& [field, ohms] : {std::pair{"sleep_ohms", load.sleep_ohms},
+                                    std::pair{"awake_ohms", load.awake_ohms},
+                                    std::pair{"tuning_ohms", load.tuning_ohms}}) {
+    if (!(ohms > 0.0) || !std::isfinite(ohms)) {
+      throw ModelError(std::string("Supercapacitor: load.") + field +
+                       " must be positive and finite (got " + std::to_string(ohms) + ")");
+    }
   }
 }
 

@@ -718,13 +718,6 @@ JsonValue to_json(const AutotuneSpec& spec) {
     knobs.push_back(std::move(entry));
   }
   json.set("knobs", std::move(knobs));
-  if (!spec.kernels.empty()) {
-    JsonValue kernels = JsonValue::make_array();
-    for (const experiments::BatchKernel kernel : spec.kernels) {
-      kernels.push_back(experiments::batch_kernel_id(kernel));
-    }
-    json.set("kernels", std::move(kernels));
-  }
   json.set("error_budget", spec.error_budget);
   if (spec.oracle_step > 0.0) {
     json.set("oracle_step", spec.oracle_step);
@@ -735,7 +728,7 @@ JsonValue to_json(const AutotuneSpec& spec) {
 
 AutotuneSpec autotune_from_json(const JsonValue& json) {
   check_keys(json,
-             {"type", "name", "base", "knobs", "kernels", "error_budget", "oracle_step",
+             {"type", "name", "base", "knobs", "error_budget", "oracle_step",
               "max_evaluations"},
              "autotune spec");
   AutotuneSpec spec;
@@ -751,11 +744,6 @@ AutotuneSpec autotune_from_json(const JsonValue& json) {
       knob.values.push_back(value.as_number());
     }
     spec.knobs.push_back(std::move(knob));
-  }
-  if (const JsonValue* kernels = json.find("kernels")) {
-    for (const JsonValue& kernel : kernels->as_array()) {
-      spec.kernels.push_back(experiments::parse_batch_kernel(kernel.as_string()));
-    }
   }
   spec.error_budget = number_or(json, "error_budget", spec.error_budget);
   spec.oracle_step = number_or(json, "oracle_step", spec.oracle_step);
@@ -837,7 +825,6 @@ JsonValue to_json(const ScenarioResult& result) {
     batch.set("kernel", experiments::batch_kernel_id(result.batch_kernel));
     batch.set("lockstep_groups", result.lockstep_groups);
     batch.set("shared_factorisations", result.shared_factorisations);
-    batch.set("expm_segments", result.expm_segments);
     json.set("batch", std::move(batch));
   }
 
@@ -1172,7 +1159,6 @@ JsonValue to_json(const AutotuneResult& result) {
     values.push_back(value);
   }
   chosen.set("values", std::move(values));
-  chosen.set("kernel", result.chosen_kernel);
   chosen.set("cost", result.chosen_cost);
   chosen.set("error", JsonValue::finite_or_null(result.chosen_error));
   json.set("chosen", std::move(chosen));
@@ -1188,7 +1174,6 @@ JsonValue to_json(const AutotuneResult& result) {
       xs.push_back(value);
     }
     entry.set("values", std::move(xs));
-    entry.set("kernel", evaluation.kernel);
     entry.set("cost", evaluation.cost);
     entry.set("error", JsonValue::finite_or_null(evaluation.error));
     entry.set("feasible", evaluation.feasible);
@@ -1218,11 +1203,10 @@ AutotuneResult autotune_result_from_json(const JsonValue& json) {
   result.baseline_cost = number_or(baseline, "cost", 0.0);
   result.baseline_error = number_or(baseline, "error", 0.0);
   const JsonValue& chosen = json.at("chosen");
-  check_keys(chosen, {"values", "kernel", "cost", "error"}, "autotune chosen");
+  check_keys(chosen, {"values", "cost", "error"}, "autotune chosen");
   for (const JsonValue& value : chosen.at("values").as_array()) {
     result.chosen_values.push_back(value.as_number());
   }
-  result.chosen_kernel = chosen.at("kernel").as_string();
   result.chosen_cost = number_or(chosen, "cost", 0.0);
   result.chosen_error = number_or(chosen, "error", 0.0);
   result.cost_ratio = number_or(json, "cost_ratio", 0.0);
@@ -1230,12 +1214,11 @@ AutotuneResult autotune_result_from_json(const JsonValue& json) {
   result.evaluations = count_from(json, "evaluations", "autotune result");
   result.sweeps = count_from(json, "sweeps", "autotune result");
   for (const JsonValue& entry : json.at("log").as_array()) {
-    check_keys(entry, {"values", "kernel", "cost", "error", "feasible"}, "autotune log");
+    check_keys(entry, {"values", "cost", "error", "feasible"}, "autotune log");
     AutotuneEvaluation evaluation;
     for (const JsonValue& value : entry.at("values").as_array()) {
       evaluation.values.push_back(value.as_number());
     }
-    evaluation.kernel = entry.at("kernel").as_string();
     evaluation.cost = number_or(entry, "cost", 0.0);
     evaluation.error = number_or(entry, "error", 0.0);
     evaluation.feasible = bool_or(entry, "feasible", false);

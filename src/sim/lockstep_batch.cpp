@@ -1,16 +1,12 @@
 #include "sim/lockstep_batch.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <limits>
-#include <numbers>
 #include <span>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/lockstep_port.hpp"
-#include "linalg/expm.hpp"
 #include "linalg/lu.hpp"
 
 namespace ehsim::sim {
@@ -41,8 +37,8 @@ struct LockstepBatch::PoolEntry {
   linalg::LuFactorization lu;
 };
 
-LockstepBatch::LockstepBatch(std::vector<LockstepMember> members, LockstepOptions options)
-    : members_(std::move(members)), options_(options) {
+LockstepBatch::LockstepBatch(std::vector<LockstepMember> members)
+    : members_(std::move(members)) {
   for (std::size_t i = 0; i < members_.size(); ++i) {
     const LockstepMember& m = members_[i];
     if (m.solver == nullptr) {
@@ -129,9 +125,6 @@ void LockstepBatch::advance_to_barrier(std::vector<std::size_t>& live, double ta
     const double remaining = target - clock_;
     if (remaining <= 0.0) {
       break;
-    }
-    if (options_.use_expm && try_expm_stretch(live, target)) {
-      continue;
     }
     stability_all(live);
 
@@ -377,320 +370,6 @@ void LockstepBatch::stability_all(const std::vector<std::size_t>& live) {
       caps_.push_back(StepCap{signature, i});
     }
   }
-}
-
-/// Exact-propagation operators for one (linearisation, excitation segment,
-/// substep) cell: within the cell the eliminated system is
-/// x' = A x + g0 + gs sin(wt) + gc cos(wt) with the consistent terminals
-/// recovered as y = W x + q0 + qs sin(wt) + qc cos(wt); the augmented state
-/// z = [x, sin(wt), cos(wt), 1] makes that autonomous, so one matrix
-/// exponential P = exp(M h) advances a whole substep.
-struct LockstepBatch::ExpmCell {
-  std::uint64_t signature = 0;
-  std::uint64_t omega_bits = 0;
-  std::uint64_t amp_bits = 0;
-  std::uint64_t phase_bits = 0;
-  std::uint64_t seg_start_bits = 0;
-  std::uint64_t h_sub_bits = 0;
-  double omega = 0.0;
-  linalg::Matrix propagator;      // P, (n+3) x (n+3)
-  linalg::Matrix w;               // terminal recovery, m x n
-  linalg::Vector q0, qs, qc;      // terminal recovery offsets, m
-};
-
-bool LockstepBatch::try_expm_stretch(const std::vector<std::size_t>& live, double target) {
-  const core::SolverConfig& config = members_.front().solver->config();
-  if (!(config.enable_jacobian_reuse || config.enable_lle_control)) {
-    return false;  // no signature machinery — segment exits would go unseen
-  }
-  if (clock_ < expm_backoff_until_) {
-    return false;
-  }
-  const double h_sub = options_.expm_substep > 0.0 ? options_.expm_substep : config.h_max;
-  if (!(h_sub > 0.0)) {
-    return false;
-  }
-
-  double stretch_end = target;
-  for (std::size_t i : live) {
-    const LockstepMember& m = members_[i];
-    if (m.profile == nullptr || !Port::jacobians_valid(*m.solver) ||
-        !signature_shareable(Port::signature(*m.solver))) {
-      return false;
-    }
-    const auto seg = m.profile->segment_info(clock_);
-    if (seg.slope_hz_per_s != 0.0 || !(seg.frequency_hz > 0.0)) {
-      return false;  // chirp segments are not a pure sinusoid
-    }
-    stretch_end = std::min(stretch_end, seg.end_time);
-  }
-  if (!(stretch_end > clock_)) {
-    return false;
-  }
-  const auto max_substeps = static_cast<std::size_t>((stretch_end - clock_) / h_sub);
-  if (max_substeps < options_.min_expm_substeps) {
-    return false;
-  }
-
-  struct MemberRun {
-    std::size_t member;
-    std::size_t cell_index;
-    std::uint64_t frozen_signature;
-    std::vector<double> z, scratch, x_new, y_new;
-  };
-  std::vector<MemberRun> runs;
-  runs.reserve(live.size());
-  // The cache is capacity-reserved so cell indices stay valid while this
-  // stretch is being assembled; at capacity, slots not used by this stretch
-  // are recycled round-robin.
-  constexpr std::size_t kExpmCacheCapacity = 128;
-  expm_cache_.reserve(kExpmCacheCapacity);
-  std::vector<std::size_t> cells_this_stretch;
-  const std::uint64_t h_sub_bits = std::bit_cast<std::uint64_t>(h_sub);
-  for (std::size_t i : live) {
-    const LockstepMember& m = members_[i];
-    core::LinearisedSolver& s = *m.solver;
-    const auto seg = m.profile->segment_info(clock_);
-    const double omega = 2.0 * std::numbers::pi * seg.frequency_hz;
-    const std::uint64_t signature = Port::signature(s);
-    const std::uint64_t omega_bits = std::bit_cast<std::uint64_t>(omega);
-    const std::uint64_t amp_bits = std::bit_cast<std::uint64_t>(seg.amplitude);
-    const std::uint64_t phase_bits = std::bit_cast<std::uint64_t>(seg.phase_at_start);
-    const std::uint64_t seg_start_bits = std::bit_cast<std::uint64_t>(seg.start_time);
-
-    std::size_t cell_index = expm_cache_.size();
-    for (std::size_t ci = 0; ci < expm_cache_.size(); ++ci) {
-      const ExpmCell& candidate = expm_cache_[ci];
-      if (candidate.signature == signature &&
-          candidate.omega_bits == omega_bits && candidate.amp_bits == amp_bits &&
-          candidate.phase_bits == phase_bits && candidate.seg_start_bits == seg_start_bits &&
-          candidate.h_sub_bits == h_sub_bits) {
-        cell_index = ci;
-        break;
-      }
-    }
-    if (cell_index == expm_cache_.size()) {
-      // Slots already backing this stretch are pinned (MemberRuns hold their
-      // indices). A batch with more distinct cells than capacity can pin
-      // every slot — decline the stretch up front, before paying for the
-      // cell build, and fall back to time-stepping rather than spin hunting
-      // for a free slot.
-      std::vector<char> pinned;
-      if (expm_cache_.size() >= kExpmCacheCapacity) {
-        pinned.assign(kExpmCacheCapacity, 0);
-        for (std::size_t used : cells_this_stretch) {
-          pinned[used] = 1;
-        }
-        if (std::find(pinned.begin(), pinned.end(), char{0}) == pinned.end()) {
-          return false;
-        }
-      }
-      const std::size_t n = s.state().size();
-      const std::size_t alg = s.terminals().size();
-
-      // Eliminated system A = Jxx - Jxy Jyy^-1 Jyx and the terminal
-      // recovery W = -Jyy^-1 Jyx on the frozen linearisation.
-      linalg::Matrix z_elim;
-      linalg::Matrix a = Port::jxx(s);
-      linalg::Matrix w;
-      if (alg > 0) {
-        Port::jyy_lu(s).solve_matrix(Port::jyx(s), z_elim);
-        const linalg::Matrix& jxy = Port::jxy(s);
-        for (std::size_t r = 0; r < n; ++r) {
-          for (std::size_t k = 0; k < alg; ++k) {
-            const double jxy_rk = jxy(r, k);
-            if (jxy_rk == 0.0) {
-              continue;
-            }
-            for (std::size_t c = 0; c < n; ++c) {
-              a(r, c) -= jxy_rk * z_elim(k, c);
-            }
-          }
-        }
-        w = z_elim;
-        w.scale(-1.0);
-      }
-
-      // Forcing fit: evaluate the frozen-linearisation residuals at three
-      // quadrature-spaced times with the state held fixed; the affine
-      // remainder e(t) = f_lin(t, x0, y0) - A x0 (and the terminal offset
-      // q(t)) is exactly b0 + bs sin(wt) + bc cos(wt) within the segment.
-      const double period = 1.0 / seg.frequency_hz;
-      const double delta = std::min(period / 4.0, (stretch_end - clock_) / 2.0);
-      if (!(delta > 0.0)) {
-        return false;
-      }
-      const auto x0 = s.state();
-      const auto y0 = s.terminals();
-      linalg::Vector ax(n);
-      a.matvec(x0, ax.span());
-      linalg::Vector wx(alg);
-      if (alg > 0) {
-        w.matvec(x0, wx.span());
-      }
-      linalg::Vector fx(n), fy(alg), dys(alg);
-      linalg::Vector e[3], q[3];
-      double tau[3];
-      for (int k = 0; k < 3; ++k) {
-        tau[k] = clock_ + static_cast<double>(k) * delta;
-        Port::assembler(s).eval(tau[k], x0, y0, fx.span(), fy.span());
-        if (alg > 0) {
-          for (std::size_t r = 0; r < alg; ++r) {
-            dys[r] = -fy[r];
-          }
-          Port::jyy_lu(s).solve_inplace(dys.span());
-        }
-        e[k] = fx;
-        if (alg > 0) {
-          Port::jxy(s).matvec_acc(1.0, dys.span(), e[k].span());
-        }
-        e[k].axpy(-1.0, ax);
-        q[k].resize(alg);
-        for (std::size_t r = 0; r < alg; ++r) {
-          q[k][r] = y0[r] + dys[r] - wx[r];
-        }
-      }
-      linalg::Matrix vandermonde(3, 3);
-      for (int k = 0; k < 3; ++k) {
-        vandermonde(k, 0) = 1.0;
-        vandermonde(k, 1) = std::sin(omega * tau[k]);
-        vandermonde(k, 2) = std::cos(omega * tau[k]);
-      }
-      linalg::LuFactorization fit(vandermonde);
-      if (!fit.ok()) {
-        return false;
-      }
-      linalg::Vector g0(n), gs(n), gc(n);
-      double rhs[3];
-      for (std::size_t c = 0; c < n; ++c) {
-        rhs[0] = e[0][c];
-        rhs[1] = e[1][c];
-        rhs[2] = e[2][c];
-        fit.solve_inplace(std::span<double>(rhs));
-        g0[c] = rhs[0];
-        gs[c] = rhs[1];
-        gc[c] = rhs[2];
-      }
-      ExpmCell fresh;
-      fresh.q0.resize(alg);
-      fresh.qs.resize(alg);
-      fresh.qc.resize(alg);
-      for (std::size_t c = 0; c < alg; ++c) {
-        rhs[0] = q[0][c];
-        rhs[1] = q[1][c];
-        rhs[2] = q[2][c];
-        fit.solve_inplace(std::span<double>(rhs));
-        fresh.q0[c] = rhs[0];
-        fresh.qs[c] = rhs[1];
-        fresh.qc[c] = rhs[2];
-      }
-
-      linalg::Matrix m_aug(n + 3, n + 3);
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c) {
-          m_aug(r, c) = a(r, c);
-        }
-        m_aug(r, n) = gs[r];
-        m_aug(r, n + 1) = gc[r];
-        m_aug(r, n + 2) = g0[r];
-      }
-      m_aug(n, n + 1) = omega;
-      m_aug(n + 1, n) = -omega;
-      m_aug.scale(h_sub);
-
-      fresh.signature = signature;
-      fresh.omega_bits = omega_bits;
-      fresh.amp_bits = amp_bits;
-      fresh.phase_bits = phase_bits;
-      fresh.seg_start_bits = seg_start_bits;
-      fresh.h_sub_bits = h_sub_bits;
-      fresh.omega = omega;
-      fresh.propagator = linalg::expm(m_aug);
-      fresh.w = std::move(w);
-      if (expm_cache_.size() < kExpmCacheCapacity) {
-        cell_index = expm_cache_.size();
-        expm_cache_.push_back(std::move(fresh));
-      } else {
-        // The guard above proved at least one unpinned slot exists, so this
-        // round-robin scan terminates.
-        do {
-          cell_index = expm_cursor_ % kExpmCacheCapacity;
-          ++expm_cursor_;
-        } while (pinned[cell_index] != 0);
-        expm_cache_[cell_index] = std::move(fresh);
-      }
-    }
-    cells_this_stretch.push_back(cell_index);
-
-    MemberRun run;
-    run.member = i;
-    run.cell_index = cell_index;
-    run.frozen_signature = signature;
-    const ExpmCell& cell = expm_cache_[cell_index];
-    const auto x0 = s.state();
-    const std::size_t n = x0.size();
-    run.z.resize(n + 3);
-    std::copy(x0.begin(), x0.end(), run.z.begin());
-    run.z[n] = std::sin(cell.omega * clock_);
-    run.z[n + 1] = std::cos(cell.omega * clock_);
-    run.z[n + 2] = 1.0;
-    run.scratch.resize(n + 3);
-    run.x_new.resize(n);
-    run.y_new.resize(s.terminals().size());
-    runs.push_back(std::move(run));
-  }
-
-  // The stretch: all members take identical exact substeps until the span
-  // runs out or any member's linearisation signature moves (the cut lands
-  // within one substep of the true crossing — the documented slop).
-  const double t0 = clock_;
-  std::size_t taken = 0;
-  bool flipped = false;
-  while (taken < max_substeps && !flipped) {
-    const double t_new = t0 + static_cast<double>(taken + 1) * h_sub;
-    for (MemberRun& run : runs) {
-      core::LinearisedSolver& s = *members_[run.member].solver;
-      const ExpmCell& cell = expm_cache_[run.cell_index];
-      const std::size_t n = run.x_new.size();
-      const std::size_t alg = run.y_new.size();
-      cell.propagator.matvec(std::span<const double>(run.z), std::span<double>(run.scratch));
-      run.z.swap(run.scratch);
-      // Pin the oscillator coordinates to the exact sinusoid — no phase
-      // drift accumulates across thousands of substeps.
-      run.z[n] = std::sin(cell.omega * t_new);
-      run.z[n + 1] = std::cos(cell.omega * t_new);
-      run.z[n + 2] = 1.0;
-      std::copy(run.z.begin(), run.z.begin() + static_cast<std::ptrdiff_t>(n),
-                run.x_new.begin());
-      if (alg > 0) {
-        cell.w.matvec(std::span<const double>(run.x_new), std::span<double>(run.y_new));
-        for (std::size_t r = 0; r < alg; ++r) {
-          run.y_new[r] +=
-              cell.q0[r] + cell.qs[r] * run.z[n] + cell.qc[r] * run.z[n + 1];
-        }
-      }
-      Port::set_point(s, t_new, std::span<const double>(run.x_new),
-                      std::span<const double>(run.y_new));
-      Port::notify(s);
-    }
-    ++taken;
-    clock_ = t_new;
-    for (const MemberRun& run : runs) {
-      if (Port::probe_signature(*members_[run.member].solver) != run.frozen_signature) {
-        flipped = true;
-        break;
-      }
-    }
-  }
-
-  for (const MemberRun& run : runs) {
-    Port::restart_multistep(*members_[run.member].solver);
-    ++counters_.expm_segments;
-  }
-  if (flipped && taken < options_.min_expm_substeps) {
-    expm_backoff_until_ = clock_ + 4.0 * static_cast<double>(options_.min_expm_substeps) * h_sub;
-  }
-  return true;
 }
 
 }  // namespace ehsim::sim

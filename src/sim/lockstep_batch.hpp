@@ -20,11 +20,7 @@
 ///    the leader marches exactly as the per-job path would and followers
 ///    copy its refresh, so a batch of pure duplicates is bit-for-bit the
 ///    per-job result. Followers peel off at their divergence time and
-///    re-merge into signature groups whenever signatures coincide again;
-///  * optionally (LockstepOptions::use_expm) a stretch where every member's
-///    linearisation holds still and the excitation segment is a pure
-///    sinusoid is propagated *exactly* with a cached matrix exponential
-///    (linalg/expm.hpp) instead of being stepped through.
+///    re-merge into signature groups whenever signatures coincide again.
 ///
 /// Sharing is only engaged for a member once the global clock passes its
 /// `share_after` horizon, which the caller sets so that batches whose
@@ -49,7 +45,6 @@
 
 #include "core/linearised_solver.hpp"
 #include "digital/kernel.hpp"
-#include "harvester/vibration_source.hpp"
 
 namespace ehsim::sim {
 
@@ -61,9 +56,6 @@ struct LockstepMember {
   core::LinearisedSolver* solver = nullptr;  ///< initialised engine (required)
   digital::Kernel* kernel = nullptr;         ///< digital side; may be null
   double t_end = 0.0;                        ///< member horizon [s]
-  /// Excitation profile backing the member (expm segment eligibility); may
-  /// be null, which only disables exact propagation for the batch.
-  const harvester::VibrationProfile* profile = nullptr;
   /// Clock time after which this member may adopt shared linearisations
   /// (bounded-error). 0: immediately; +inf: never (stays exact).
   double share_after = 0.0;
@@ -75,16 +67,6 @@ struct LockstepMember {
   double diverges_at = 0.0;  ///< clone relation holds for t < diverges_at
 };
 
-struct LockstepOptions {
-  /// Exact matrix-exponential propagation of still-linearisation stretches.
-  bool use_expm = false;
-  /// expm substep [s]; 0 picks the solver's h_max accuracy ceiling.
-  double expm_substep = 0.0;
-  /// Do not open an expm stretch shorter than this many substeps (the
-  /// multistep restart it forces afterwards must be amortised).
-  std::size_t min_expm_substeps = 4;
-};
-
 /// Work-sharing counters surfaced through BatchStats / result JSON.
 struct LockstepCounters {
   /// Shared linearisation groups materialised: refreshes (one per step per
@@ -94,8 +76,6 @@ struct LockstepCounters {
   /// Member-refreshes served without their own Jacobian assembly +
   /// factorisation: clone-follower syncs plus signature-group/pool adoptions.
   std::uint64_t shared_factorisations = 0;
-  /// Exact-propagation stretches, summed over participating members.
-  std::uint64_t expm_segments = 0;
 };
 
 /// Advances every member to its t_end on one global clock; see file header.
@@ -106,7 +86,7 @@ class LockstepBatch {
   /// Validates the batch: non-null initialised solvers, a common
   /// SolverConfig, clone leaders preceding their followers. Throws
   /// ModelError on violations.
-  LockstepBatch(std::vector<LockstepMember> members, LockstepOptions options = {});
+  explicit LockstepBatch(std::vector<LockstepMember> members);
   // Out of line: the cache entry types are incomplete here.
   ~LockstepBatch();
 
@@ -118,7 +98,6 @@ class LockstepBatch {
 
  private:
   struct PoolEntry;  // cross-time linearisation cache (lockstep_batch.cpp)
-  struct ExpmCell;   // cached exact-propagation operators (lockstep_batch.cpp)
   struct StepBuild;  // per-step linearisation group (lockstep_batch.cpp)
   struct StepCap;    // per-step recomputed stability cap (lockstep_batch.cpp)
 
@@ -128,20 +107,11 @@ class LockstepBatch {
   void refresh_all(const std::vector<std::size_t>& live, std::vector<char>& rebuilt);
   /// Stability phase across \p live members.
   void stability_all(const std::vector<std::size_t>& live);
-  /// Attempt one exact-propagation stretch; returns true when at least one
-  /// substep was taken (members then need a fresh refresh pass).
-  bool try_expm_stretch(const std::vector<std::size_t>& live, double target);
 
   std::vector<LockstepMember> members_;
-  LockstepOptions options_;
   LockstepCounters counters_;
   std::vector<PoolEntry> pool_;
   std::size_t pool_cursor_ = 0;  ///< round-robin replacement at capacity
-  std::vector<ExpmCell> expm_cache_;
-  std::size_t expm_cursor_ = 0;  ///< round-robin replacement at capacity
-  /// Cool-down after a stretch that a signature flip cut short — re-entering
-  /// immediately would thrash multistep restarts against tiny stretches.
-  double expm_backoff_until_ = 0.0;
   double clock_ = 0.0;
   // Per-step scratch of refresh_all / stability_all, kept across steps so
   // the march does not allocate every step.

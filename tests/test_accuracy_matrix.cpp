@@ -3,7 +3,7 @@
 ///
 /// Runs miniature harvester scenarios against the extended-precision
 /// reference oracle (experiments::run_accuracy) across the engine kinds and
-/// all three batch kernels, and pins the measured relative-error bounds as
+/// both batch kernels, and pins the measured relative-error bounds as
 /// regression limits. Until this matrix existed, the repo's accuracy claims
 /// were engine-vs-engine; the PR-6 lockstep kernels in particular carried a
 /// "within 1e-3 on Vc" claim that was never measured against an independent
@@ -72,7 +72,7 @@ const KernelAccuracy& kernel_row(const AccuracyReport& report, const char* id) {
   return *it;
 }
 
-// ---- the proposed engine across all three batch kernels --------------------
+// ---- the proposed engine across both batch kernels -------------------------
 
 TEST(AccuracyMatrix, ProposedKernelsStayWithinMeasuredVcBounds) {
   // A two-job sweep whose members share a prefix and then diverge (distinct
@@ -83,8 +83,7 @@ TEST(AccuracyMatrix, ProposedKernelsStayWithinMeasuredVcBounds) {
   sweep.axes.push_back(SweepAxis{
       .param = "excitation.event[0].frequency_hz", .values = {70.5, 71.5}, .engines = {}});
 
-  for (const BatchKernel kernel :
-       {BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm}) {
+  for (const BatchKernel kernel : {BatchKernel::kJobs, BatchKernel::kLockstep}) {
     const AccuracyReport report =
         ehsim::experiments::run_accuracy(sweep, oracle_options({kernel}));
     ASSERT_EQ(report.kernels.size(), 1u);
@@ -161,9 +160,6 @@ TEST(AccuracyMatrix, LockstepKernelsRejectBaselineEngines) {
   spec.engine = EngineKind::kSystemVision;
   EXPECT_THROW((void)ehsim::experiments::run_accuracy(
                    spec, oracle_options({BatchKernel::kLockstep})),
-               ModelError);
-  EXPECT_THROW((void)ehsim::experiments::run_accuracy(
-                   spec, oracle_options({BatchKernel::kLockstepExpm})),
                ModelError);
 }
 

@@ -190,6 +190,53 @@ TEST(EhsimCli, UnknownCommandEmitsSingleLineJsonErrorAndNonzeroStatus) {
   std::filesystem::remove(err_path);
 }
 
+/// The removed lockstep_expm kernel and the autotune "kernels" key fail up
+/// front through every CLI surface that used to accept them, each with an
+/// error naming what is expected instead.
+TEST(EhsimCli, RemovedKernelAndAutotuneKernelsKeyRejected) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "ehsim_cli_removed_kernel";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string golden = std::string(EHSIM_SOURCE_DIR) + "/tests/golden/";
+  const std::string charging = golden + "golden_charging.json";
+
+  auto sweep =
+      ehsim::io::JsonValue::parse(ehsim::io::read_file(golden + "golden_serve_sweep.json"));
+  sweep.set("batch_kernel", "lockstep_expm");
+  const std::string sweep_path = (dir / "sweep.json").string();
+  ehsim::io::write_file(sweep_path, sweep.dump(2));
+  auto autotune =
+      ehsim::io::JsonValue::parse(ehsim::io::read_file(golden + "golden_autotune.json"));
+  ehsim::io::JsonValue kernels = ehsim::io::JsonValue::make_array();
+  kernels.push_back("jobs");
+  autotune.set("kernels", std::move(kernels));
+  const std::string autotune_path = (dir / "autotune.json").string();
+  ehsim::io::write_file(autotune_path, autotune.dump(2));
+
+  const std::string kernel_list = "(expected jobs | lockstep)";
+  const struct {
+    std::string args;
+    std::string expected;
+  } cases[] = {
+      {"run \"" + charging + "\" --batch-kernel lockstep_expm", kernel_list},
+      {"verify-accuracy \"" + charging + "\" --kernels jobs,lockstep_expm", kernel_list},
+      {"sweep \"" + sweep_path + "\"", kernel_list},
+      {"autotune \"" + autotune_path + "\"", "unknown key 'kernels'"},
+  };
+  const std::string err_path = (dir / "stderr.txt").string();
+  for (const auto& c : cases) {
+    const std::string command = std::string("\"") + EHSIM_CLI_PATH + "\" " + c.args +
+                                " --out \"" + dir.string() + "\" --quiet 2> \"" + err_path +
+                                "\"";
+    EXPECT_NE(std::system(command.c_str()), 0) << command;
+    const std::string err = ehsim::io::read_file(err_path);
+    EXPECT_NE(err.find(c.expected), std::string::npos) << command << "\n" << err;
+  }
+
+  std::filesystem::remove_all(dir);
+}
+
 /// The serve daemon end to end through the binary: a malformed envelope gets
 /// a per-job error event naming the bad key while the session keeps serving
 /// and still exits 0 (protocol errors are responses, not crashes).

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "core/linearised_solver.hpp"
 #include "harvester/supercapacitor.hpp"
@@ -207,6 +210,26 @@ TEST(Supercap, InvalidConstruction) {
   SupercapacitorParams bad2 = default_params();
   bad2.cd = -1.0;
   EXPECT_THROW(Supercapacitor(bad2, LoadParams{}), ehsim::ModelError);
+
+  // Equivalent load resistances (Eq. 16): each field must be positive and
+  // finite, and the error names its spec path.
+  for (const double ohms : {-5.0, 0.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    for (const auto& [name, field] : {std::pair{"sleep_ohms", &LoadParams::sleep_ohms},
+                                      std::pair{"awake_ohms", &LoadParams::awake_ohms},
+                                      std::pair{"tuning_ohms", &LoadParams::tuning_ohms}}) {
+      LoadParams load;
+      load.*field = ohms;
+      try {
+        Supercapacitor cap(default_params(), load);
+        ADD_FAILURE() << name << " = " << ohms << " accepted";
+      } catch (const ehsim::ModelError& error) {
+        EXPECT_NE(std::string(error.what()).find(std::string("load.") + name),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  }
 }
 
 TEST(Supercap, StateAndTerminalNames) {

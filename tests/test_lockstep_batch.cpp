@@ -1,5 +1,5 @@
 /// \file test_lockstep_batch.cpp
-/// \brief Lockstep SoA batch kernel: exactness, divergence and expm bounds.
+/// \brief Lockstep SoA batch kernel: exactness, divergence and class split.
 ///
 /// The contract under test (sim/lockstep_batch.hpp, docs/spec_format.md):
 ///  * a batch of bitwise-identical jobs marches bit-for-bit like the per-job
@@ -7,8 +7,6 @@
 ///    in excitation events after t = 0;
 ///  * once members diverge, shared linearisations keep every result within
 ///    the documented io::compare tolerances of its per-job reference;
-///  * lockstep_expm stays within the same bounds while taking exact
-///    matrix-exponential stretches;
 ///  * parameter classes march independently and concurrently: every member
 ///    of a multi-class batch is bit-identical to a batch holding only its
 ///    own class, and results do not depend on the thread count.
@@ -16,12 +14,11 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/linearised_solver.hpp"
-#include "linalg/expm.hpp"
-#include "linalg/matrix.hpp"
 #include "experiments/scenarios.hpp"
 #include "sim/harvester_session.hpp"
 #include "sim/lockstep_batch.hpp"
@@ -30,63 +27,6 @@ namespace {
 
 using namespace ehsim::experiments;
 using ehsim::ModelError;
-using ehsim::linalg::Matrix;
-
-// ---- linalg::expm ---------------------------------------------------------
-
-TEST(Expm, IdentityAndDiagonal) {
-  Matrix zero(3, 3);
-  const Matrix ez = ehsim::linalg::expm(zero);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_NEAR(ez(r, c), r == c ? 1.0 : 0.0, 1e-15);
-    }
-  }
-
-  Matrix diag(2, 2);
-  diag(0, 0) = -1.5;
-  diag(1, 1) = 2.0;
-  const Matrix ed = ehsim::linalg::expm(diag);
-  EXPECT_NEAR(ed(0, 0), std::exp(-1.5), 1e-13);
-  EXPECT_NEAR(ed(1, 1), std::exp(2.0), 1e-12);
-  EXPECT_NEAR(ed(0, 1), 0.0, 1e-14);
-  EXPECT_NEAR(ed(1, 0), 0.0, 1e-14);
-}
-
-TEST(Expm, RotationMatchesTrig) {
-  // exp([[0,-w],[w,0]]) = [[cos w, -sin w],[sin w, cos w]] — the oscillator
-  // propagation the lockstep expm path builds on (needs squaring: |w| > 1/2).
-  const double w = 2.75;
-  Matrix a(2, 2);
-  a(0, 1) = -w;
-  a(1, 0) = w;
-  const Matrix e = ehsim::linalg::expm(a);
-  EXPECT_NEAR(e(0, 0), std::cos(w), 1e-12);
-  EXPECT_NEAR(e(0, 1), -std::sin(w), 1e-12);
-  EXPECT_NEAR(e(1, 0), std::sin(w), 1e-12);
-  EXPECT_NEAR(e(1, 1), std::cos(w), 1e-12);
-}
-
-TEST(Expm, DampedOscillatorMatchesClosedForm) {
-  // exp(t*[[a,-b],[b,a]]) = e^{a t} R(b t).
-  const double alpha = -0.4;
-  const double beta = 1.9;
-  Matrix m(2, 2);
-  m(0, 0) = alpha;
-  m(0, 1) = -beta;
-  m(1, 0) = beta;
-  m(1, 1) = alpha;
-  const Matrix e = ehsim::linalg::expm(m);
-  const double scale = std::exp(alpha);
-  EXPECT_NEAR(e(0, 0), scale * std::cos(beta), 1e-12);
-  EXPECT_NEAR(e(0, 1), -scale * std::sin(beta), 1e-12);
-  EXPECT_NEAR(e(1, 0), scale * std::sin(beta), 1e-12);
-  EXPECT_NEAR(e(1, 1), scale * std::cos(beta), 1e-12);
-}
-
-TEST(Expm, RejectsNonSquare) {
-  EXPECT_THROW((void)ehsim::linalg::expm(Matrix(2, 3)), ModelError);
-}
 
 // ---- lockstep batch end-to-end --------------------------------------------
 
@@ -129,6 +69,10 @@ TEST(LockstepBatch, DuplicateBatchBitIdenticalToPerJob) {
     job.spec = lockstep_spec(1.5);
     job.spec.excitation.step_frequency(0.75, 72.0);
   }
+  // Distinct trace decimation must not break clone detection (observers are
+  // per-member): this member still follows the leader and still matches its
+  // own per-job trace bit for bit.
+  jobs[2].spec.trace_interval = 0.02;
 
   BatchStats lockstep_stats;
   const auto per_job = run_with_kernel(jobs, BatchKernel::kJobs);
@@ -146,7 +90,6 @@ TEST(LockstepBatch, DuplicateBatchBitIdenticalToPerJob) {
   }
   // Followers rode the leader's refreshes instead of assembling their own.
   EXPECT_GT(lockstep_stats.shared_factorisations, 0u);
-  EXPECT_EQ(lockstep_stats.expm_segments, 0u);
 }
 
 TEST(LockstepBatch, SingleJobBitIdenticalToPerJob) {
@@ -201,29 +144,6 @@ TEST(LockstepBatch, SplitAndRemergeAcrossSegmentCrossing) {
         << "job " << i;
   }
   EXPECT_GT(stats.shared_factorisations, 0u);
-}
-
-TEST(LockstepBatch, ExpmKernelStaysWithinBounds) {
-  std::vector<ScenarioJob> jobs(3);
-  for (auto& job : jobs) {
-    job.spec = lockstep_spec(1.5);
-  }
-  // Distinct trace decimation must not break clone detection (observers are
-  // per-member).
-  jobs[1].spec.trace_interval = 0.05;
-
-  BatchStats stats;
-  const auto per_job = run_with_kernel(jobs, BatchKernel::kJobs);
-  const auto expm = run_with_kernel(jobs, BatchKernel::kLockstepExpm, &stats);
-
-  ASSERT_EQ(expm.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_LT(max_rel_error(per_job[i].vc, expm[i].vc), 1e-3) << "job " << i;
-    EXPECT_NEAR(per_job[i].rms_power_before, expm[i].rms_power_before,
-                1e-3 * std::max(1.0, std::abs(per_job[i].rms_power_before)))
-        << "job " << i;
-  }
-  EXPECT_GT(stats.expm_segments, 0u) << "expm never engaged on a still, sinusoidal stretch";
 }
 
 /// Two parameter classes (sleep loads) x three clone-prefix members
@@ -378,30 +298,6 @@ TEST(LockstepBatch, ReuseDisabledArmStepIdenticalToPerJob) {
   }
 }
 
-TEST(LockstepBatch, ExpmDeclinesWhenDistinctCellsExceedCache) {
-  // More distinct expm cells in one class than the cell cache holds: every
-  // slot gets pinned by the stretch being assembled, so the kernel must
-  // decline exact propagation and fall back to time-stepping (regression for
-  // the eviction scan spinning forever hunting a free slot). The members
-  // share their parameters and step to distinct excitation frequencies at
-  // 1 ms, a prefix too short for a stretch to open.
-  std::vector<ScenarioJob> jobs(129);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].spec = lockstep_spec(0.02);
-    jobs[i].spec.with_mcu = false;
-    jobs[i].spec.excitation.step_frequency(1e-3, 65.0 + 0.05 * static_cast<double>(i));
-  }
-
-  BatchStats stats;
-  const auto results = run_with_kernel(jobs, BatchKernel::kLockstepExpm, &stats);
-  ASSERT_EQ(results.size(), jobs.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(results[i].final_vc)) << "job " << i;
-  }
-  // The stretch needs a cell for every live member, so it can never open.
-  EXPECT_EQ(stats.expm_segments, 0u);
-}
-
 TEST(LockstepBatch, BaselineEngineJobRejected) {
   std::vector<ScenarioJob> jobs(2);
   jobs[0].spec = lockstep_spec(0.5);
@@ -414,11 +310,21 @@ TEST(LockstepBatch, BaselineEngineJobRejected) {
 }
 
 TEST(LockstepBatch, KernelIdsRoundTrip) {
-  for (const BatchKernel kernel :
-       {BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm}) {
+  for (const BatchKernel kernel : {BatchKernel::kJobs, BatchKernel::kLockstep}) {
     EXPECT_EQ(parse_batch_kernel(batch_kernel_id(kernel)), kernel);
   }
-  EXPECT_THROW((void)parse_batch_kernel("simd"), ModelError);
+  // Unknown ids, the retired lockstep_expm included, fail with an error
+  // listing the valid kernels.
+  for (const char* id : {"simd", "lockstep_expm"}) {
+    try {
+      (void)parse_batch_kernel(id);
+      ADD_FAILURE() << id << " accepted";
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find("(expected jobs | lockstep)"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace
