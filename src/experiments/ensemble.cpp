@@ -100,17 +100,12 @@ EnsembleResult run_ensemble(const EnsembleSpec& ensemble, const BatchOptions& op
   for (ExperimentSpec& spec : specs) {
     jobs.push_back(ScenarioJob{std::move(spec), std::nullopt});
   }
-  BatchOptions batch = options;
-  if (batch.threads == 0) {
-    batch.threads = ensemble.threads;
-  }
-  batch.warm_start = batch.warm_start || ensemble.warm_start;
 
   EnsembleResult result;
   result.name = ensemble.base.name;
   result.engine = engine_kind_id(ensemble.base.engine);
   result.seeds = ensemble.replica_seeds();
-  result.runs = run_scenario_batch(jobs, batch, stats);
+  result.runs = run_scenario_batch(jobs, options, stats);
 
   WelfordAccumulator final_vc;
   WelfordAccumulator final_resonance;
@@ -150,9 +145,7 @@ EnsembleResult run_ensemble(const EnsembleSpec& ensemble, const BatchOptions& op
 }
 
 EnsembleResult run_ensemble(const EnsembleSpec& ensemble, BatchStats* stats) {
-  BatchOptions options;
-  options.batch_kernel = ensemble.batch_kernel;
-  return run_ensemble(ensemble, options, stats);
+  return run_ensemble(ensemble, resolve_batch_options(ensemble), stats);
 }
 
 }  // namespace ehsim::experiments

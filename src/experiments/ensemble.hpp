@@ -88,9 +88,9 @@ struct EnsembleResult {
 };
 
 /// Run the ensemble through run_scenario_batch and reduce. Like run_sweep,
-/// the explicit BatchOptions overload takes the caller's kernel choice
-/// verbatim (threads 0 and warm_start false fall back to the spec); the
-/// convenience overload resolves every option from the spec itself.
+/// the explicit BatchOptions overload takes the options verbatim; the
+/// convenience overload resolves them from the spec itself
+/// (resolve_batch_options).
 [[nodiscard]] EnsembleResult run_ensemble(const EnsembleSpec& ensemble,
                                           const BatchOptions& options,
                                           BatchStats* stats = nullptr);

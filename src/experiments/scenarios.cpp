@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -656,9 +655,7 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     horizon = std::max(horizon, job.spec.duration);
   }
   const bool chunked = checkpointing != nullptr && checkpointing->every > 0.0;
-  const std::size_t threads =
-      options.threads == 0 ? std::thread::hardware_concurrency() : options.threads;
-  sim::BatchRunner runner(std::clamp<std::size_t>(threads, 1, classes.size()));
+  sim::BatchRunner runner(sim::resolve_worker_count(options.threads, classes.size()));
   std::vector<double> march_cpu(n, 0.0);
   double t_reached = *std::max_element(job_time.begin(), job_time.end());
   int written = 0;
@@ -934,7 +931,7 @@ std::vector<ScenarioResult> run_scenario_batch(const std::vector<ScenarioJob>& j
   std::vector<ScenarioResult> results;
   sim::LockstepCounters lockstep_counters;
   if (options.batch_kernel == BatchKernel::kJobs) {
-    sim::BatchRunner runner(options.threads);
+    sim::BatchRunner runner(sim::resolve_worker_count(options.threads, jobs.size()));
     results = runner.map_items(jobs, [&](const ScenarioJob& job, std::size_t index) {
       RunOptions run_options;
       run_options.params_override = job.params ? &*job.params : nullptr;
@@ -958,8 +955,7 @@ std::vector<ScenarioResult> run_scenario_batch(const std::vector<ScenarioJob>& j
 }
 
 std::string checkpoint_file_path(const CheckpointOptions& options, const std::string& job_name) {
-  return (std::filesystem::path(options.dir) / (io::safe_file_stem(job_name) + ".ckpt.json"))
-      .string();
+  return io::file_stem(options.dir, job_name) + ".ckpt.json";
 }
 
 std::optional<ScenarioResult> run_experiment_checkpointed(const ExperimentSpec& spec,
@@ -1032,7 +1028,7 @@ std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
   std::vector<ScenarioResult> results;
   sim::LockstepCounters lockstep_counters;
   if (options.batch_kernel == BatchKernel::kJobs) {
-    sim::BatchRunner runner(options.threads);
+    sim::BatchRunner runner(sim::resolve_worker_count(options.threads, jobs.size()));
     std::vector<std::optional<ScenarioResult>> partial =
         runner.map_items(jobs, [&](const ScenarioJob& job, std::size_t index) {
           RunOptions run_options;

@@ -282,6 +282,22 @@ struct BatchOptions {
   OperatingPointCache* warm_cache = nullptr;
 };
 
+/// The one rule that resolves a batch's options from a sweep or ensemble
+/// spec's own batch settings (threads, warm_start, batch_kernel) and a
+/// caller's overrides: a non-zero caller thread count wins over the spec's,
+/// warm starts run when either side asks for them, and the caller's kernel,
+/// when given, wins over the spec's.
+template <typename Spec>
+[[nodiscard]] BatchOptions resolve_batch_options(
+    const Spec& spec, std::size_t threads = 0, bool warm_start = false,
+    std::optional<BatchKernel> batch_kernel = std::nullopt) {
+  BatchOptions options;
+  options.threads = threads != 0 ? threads : spec.threads;
+  options.warm_start = warm_start || spec.warm_start;
+  options.batch_kernel = batch_kernel.value_or(spec.batch_kernel);
+  return options;
+}
+
 // ---- Checkpoint / restart -------------------------------------------------
 
 /// Periodic mid-run checkpointing of experiments and batches. Checkpoints

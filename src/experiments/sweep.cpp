@@ -203,28 +203,18 @@ std::vector<ExperimentSpec> SweepSpec::expand() const {
 
 std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep, std::size_t threads,
                                       BatchStats* stats) {
-  BatchOptions options;
-  options.threads = threads;
-  options.warm_start = sweep.warm_start;
-  options.batch_kernel = sweep.batch_kernel;
-  return run_sweep(sweep, options, stats);
+  return run_sweep(sweep, resolve_batch_options(sweep, threads), stats);
 }
 
 namespace {
 
-/// Shared expansion of run_sweep / run_sweep_checkpointed: one uniquely
-/// named job per sweep point, batch options resolved against the spec.
-std::vector<ScenarioJob> expand_jobs(const SweepSpec& sweep, const BatchOptions& options,
-                                     BatchOptions& batch) {
+/// One uniquely named job per sweep point.
+std::vector<ScenarioJob> expand_jobs(const SweepSpec& sweep) {
   std::vector<ExperimentSpec> specs = sweep.expand();
   std::vector<ScenarioJob> jobs;
   jobs.reserve(specs.size());
   for (ExperimentSpec& spec : specs) {
     jobs.push_back(ScenarioJob{std::move(spec), std::nullopt});
-  }
-  batch = options;
-  if (batch.threads == 0) {
-    batch.threads = sweep.threads;
   }
   return jobs;
 }
@@ -233,17 +223,13 @@ std::vector<ScenarioJob> expand_jobs(const SweepSpec& sweep, const BatchOptions&
 
 std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep, const BatchOptions& options,
                                       BatchStats* stats) {
-  BatchOptions batch;
-  const std::vector<ScenarioJob> jobs = expand_jobs(sweep, options, batch);
-  return run_scenario_batch(jobs, batch, stats);
+  return run_scenario_batch(expand_jobs(sweep), options, stats);
 }
 
 std::optional<std::vector<ScenarioResult>> run_sweep_checkpointed(
     const SweepSpec& sweep, const BatchOptions& options, const CheckpointOptions& checkpointing,
     BatchStats* stats) {
-  BatchOptions batch;
-  const std::vector<ScenarioJob> jobs = expand_jobs(sweep, options, batch);
-  return run_scenario_batch_checkpointed(jobs, batch, checkpointing, stats);
+  return run_scenario_batch_checkpointed(expand_jobs(sweep), options, checkpointing, stats);
 }
 
 }  // namespace ehsim::experiments

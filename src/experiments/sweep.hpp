@@ -77,15 +77,16 @@ void set_spec_value(ExperimentSpec& spec, const std::string& path, double value)
 /// "excitation.event[K].{...}" placeholder form.
 [[nodiscard]] std::vector<std::string> spec_field_paths();
 
-/// Expand and execute a sweep through run_scenario_batch. \p threads
-/// overrides spec.threads when non-zero; warm starts follow
-/// SweepSpec::warm_start.
+/// Expand and execute a sweep through run_scenario_batch with the spec's
+/// own batch settings; \p threads overrides spec.threads when non-zero
+/// (resolve_batch_options).
 [[nodiscard]] std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
                                                     std::size_t threads = 0,
                                                     BatchStats* stats = nullptr);
 
-/// Sweep execution with explicit batch options (threads = 0 in \p options
-/// falls back to spec.threads; warm_start in \p options wins over the spec).
+/// Sweep execution with explicit batch options, taken verbatim (the spec's
+/// threads / warm_start / batch_kernel are not consulted; resolve them with
+/// resolve_batch_options).
 [[nodiscard]] std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
                                                     const BatchOptions& options,
                                                     BatchStats* stats = nullptr);

@@ -1298,11 +1298,14 @@ std::string safe_file_stem(const std::string& name) {
   return stem;
 }
 
+std::string file_stem(const std::string& dir, const std::string& name) {
+  return (std::filesystem::path(dir) / safe_file_stem(name)).string();
+}
+
 std::string write_result_files(const std::string& dir,
                                const experiments::ScenarioResult& result) {
   std::filesystem::create_directories(dir);
-  const std::string stem =
-      (std::filesystem::path(dir) / safe_file_stem(result.scenario)).string();
+  const std::string stem = file_stem(dir, result.scenario);
   write_file(stem + ".result.json", to_json(result).dump(2) + "\n");
   std::ostringstream csv;
   write_trace_csv(csv, result);
@@ -1310,15 +1313,11 @@ std::string write_result_files(const std::string& dir,
   return stem;
 }
 
-std::string write_ensemble_result_files(const std::string& dir,
-                                        const experiments::EnsembleResult& result) {
+std::string write_document_file(const std::string& dir, const std::string& name,
+                                const std::string& kind, const JsonValue& document) {
   std::filesystem::create_directories(dir);
-  const std::string stem =
-      (std::filesystem::path(dir) / safe_file_stem(result.name)).string();
-  write_file(stem + ".ensemble.json", to_json(result).dump(2) + "\n");
-  for (const ScenarioResult& run : result.runs) {
-    write_result_files(dir, run);
-  }
+  const std::string stem = file_stem(dir, name);
+  write_file(stem + "." + kind + ".json", document.dump(2) + "\n");
   return stem;
 }
 

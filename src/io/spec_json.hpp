@@ -166,6 +166,10 @@ void write_file(const std::string& path, const std::string& content);
 /// and the serve daemon write.
 [[nodiscard]] std::string safe_file_stem(const std::string& name);
 
+/// <dir>/<safe_file_stem(name)>: the stem path (no extension) of every file
+/// the CLI and the serve daemon write for \p name under \p dir.
+[[nodiscard]] std::string file_stem(const std::string& dir, const std::string& name);
+
 /// Write <dir>/<stem>.result.json (pretty-printed, trailing newline) and
 /// <dir>/<stem>.trace.csv for one result, creating \p dir as needed; returns
 /// the stem path (without extension). One shared writer keeps the one-shot
@@ -174,10 +178,12 @@ void write_file(const std::string& path, const std::string& content);
 std::string write_result_files(const std::string& dir,
                                const experiments::ScenarioResult& result);
 
-/// Write <dir>/<stem>.ensemble.json plus every replica's result/trace file
-/// pair (write_result_files each); returns the ensemble document's stem
-/// path (without extension).
-std::string write_ensemble_result_files(const std::string& dir,
-                                        const experiments::EnsembleResult& result);
+/// Write a request's document as <dir>/<stem>.<kind>.json (pretty-printed,
+/// trailing newline; kind is the request type: optimise, ensemble,
+/// accuracy, autotune), creating \p dir as needed; returns the stem path
+/// (without extension). The one writer of these documents for the CLI and
+/// the serve daemon alike.
+std::string write_document_file(const std::string& dir, const std::string& name,
+                                const std::string& kind, const JsonValue& document);
 
 }  // namespace ehsim::io

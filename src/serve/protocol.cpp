@@ -23,37 +23,6 @@ RequestType request_type_from(const std::string& id) {
                       "type");
 }
 
-bool is_job_type(RequestType type) {
-  return type == RequestType::kRun || type == RequestType::kSweep ||
-         type == RequestType::kOptimise || type == RequestType::kEnsemble ||
-         type == RequestType::kResume || type == RequestType::kAccuracy ||
-         type == RequestType::kAutotune;
-}
-
-/// Spec flavours each job type accepts, as io::spec_type_id strings — the
-/// single place a new spec flavour or request type hooks into payload
-/// matching (the spec union itself dispatches, no per-flavour switch here).
-std::vector<const char*> expected_spec_types(RequestType type) {
-  switch (type) {
-    case RequestType::kRun:
-      return {"experiment"};
-    case RequestType::kSweep:
-      return {"sweep"};
-    case RequestType::kOptimise:
-      return {"optimise"};
-    case RequestType::kEnsemble:
-      return {"ensemble"};
-    case RequestType::kResume:
-      return {"experiment", "sweep"};
-    case RequestType::kAccuracy:
-      return {"experiment", "sweep"};
-    case RequestType::kAutotune:
-      return {"autotune"};
-    default:
-      return {};
-  }
-}
-
 std::uint64_t parse_id(const io::JsonValue& envelope) {
   const io::JsonValue* id = envelope.find("id");
   if (id == nullptr) throw ProtocolError("request is missing 'id'", "id");
@@ -70,17 +39,15 @@ std::uint64_t parse_id(const io::JsonValue& envelope) {
 /// something to silently reinterpret.
 void check_payload_matches(RequestType type, const io::AnySpec& spec,
                            const std::string& key) {
-  const std::vector<const char*> expected = expected_spec_types(type);
-  const std::string actual = spec.type_id();
+  if (accepts_spec(type, spec)) return;
   std::string wanted;
-  for (const char* id : expected) {
-    if (actual == id) return;
+  for (const char* id : expected_spec_types(type)) {
     if (!wanted.empty()) wanted += "' | '";
     wanted += id;
   }
   throw ProtocolError(std::string("request type '") + request_type_id(type) +
                           "' needs a spec of type '" + wanted + "', but '" + key +
-                          "' holds a '" + actual + "' spec",
+                          "' holds a '" + spec.type_id() + "' spec",
                       key);
 }
 
@@ -120,6 +87,39 @@ const char* request_type_id(RequestType type) {
   return kTypeIds[static_cast<std::size_t>(type)];
 }
 
+std::vector<const char*> expected_spec_types(RequestType type) {
+  switch (type) {
+    case RequestType::kRun:
+      return {"experiment"};
+    case RequestType::kSweep:
+      return {"sweep"};
+    case RequestType::kOptimise:
+      return {"optimise"};
+    case RequestType::kEnsemble:
+      return {"ensemble"};
+    case RequestType::kResume:
+    case RequestType::kAccuracy:
+      return {"experiment", "sweep"};
+    case RequestType::kAutotune:
+      return {"autotune"};
+    default:
+      return {};
+  }
+}
+
+bool takes_checkpoint(RequestType type) {
+  return type == RequestType::kRun || type == RequestType::kSweep ||
+         type == RequestType::kResume;
+}
+
+bool accepts_spec(RequestType type, const io::AnySpec& spec) {
+  const std::string actual = spec.type_id();
+  for (const char* id : expected_spec_types(type)) {
+    if (actual == id) return true;
+  }
+  return false;
+}
+
 Request parse_request(const std::string& line) {
   io::JsonValue envelope;
   try {
@@ -150,7 +150,7 @@ Request parse_request(const std::string& line) {
   const io::JsonValue* spec = envelope.find("spec");
   const io::JsonValue* spec_path = envelope.find("spec_path");
   const io::JsonValue* checkpoint = envelope.find("checkpoint");
-  if (!is_job_type(request.type)) {
+  if (expected_spec_types(request.type).empty()) {
     if (spec != nullptr || spec_path != nullptr)
       throw ProtocolError(std::string("request type '") +
                               request_type_id(request.type) +
@@ -196,11 +196,8 @@ Request parse_request(const std::string& line) {
     check_payload_matches(request.type, request.spec, "spec_path");
   }
 
-  const bool takes_checkpoint = request.type == RequestType::kRun ||
-                                request.type == RequestType::kSweep ||
-                                request.type == RequestType::kResume;
   if (checkpoint != nullptr) {
-    if (!takes_checkpoint)
+    if (!takes_checkpoint(request.type))
       throw ProtocolError(std::string("request type '") +
                               request_type_id(request.type) +
                               "' does not take a checkpoint",

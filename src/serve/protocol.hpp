@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "io/spec_json.hpp"
@@ -51,6 +52,17 @@ enum class RequestType {
 /// Stable wire identifier ("run" | "sweep" | "optimise" | "ensemble" |
 /// "resume" | "accuracy" | "autotune" | "cancel" | "stats" | "shutdown").
 [[nodiscard]] const char* request_type_id(RequestType type);
+
+/// Spec flavours (io::spec_type_id strings) each job type accepts; empty for
+/// the control types. The single verb-to-flavour table: envelope parsing,
+/// the job executor and the CLI's wrong-flavour errors all read it.
+[[nodiscard]] std::vector<const char*> expected_spec_types(RequestType type);
+
+/// Whether \p type accepts the flavour of \p spec.
+[[nodiscard]] bool accepts_spec(RequestType type, const io::AnySpec& spec);
+
+/// Whether \p type takes a checkpoint block (run, sweep, resume).
+[[nodiscard]] bool takes_checkpoint(RequestType type);
 
 /// Envelope validation failure that knows which key/field it is about —
 /// the daemon copies \c key() into the error event so clients can point at

@@ -2,21 +2,26 @@
 /// \brief The `ehsim serve` daemon: a long-lived simulation service.
 ///
 /// One Server instance reads newline-delimited request envelopes (see
-/// protocol.hpp) from an input stream, schedules the job types through a
-/// bounded JobQueue onto a single simulation worker thread, and streams
+/// protocol.hpp) from an input stream, schedules them through a bounded
+/// JobQueue onto a single simulation worker thread, and streams
 /// newline-delimited JSON events back: progress, per-probe summaries, full
 /// result documents and cache statistics, each tagged with the request id.
+/// Job requests run through the same executor as the one-shot CLI
+/// (executor.hpp); the Server adds only the reader, queue, worker,
+/// cancellation, stats and the NDJSON event sink.
 ///
 /// What makes the daemon worth running over repeated one-shot `ehsim`
 /// invocations is the cross-request state it keeps warm:
 ///   - the process-wide PWL diode-table cache (pwl/table_cache.hpp) now
 ///     amortises across *requests*, not just across the jobs of one sweep;
 ///   - a cross-request OperatingPointCache keyed by *exact* operating-point
-///     signatures seeds the t=0 consistency iterations of any request whose
-///     parameter vector was converged before (runs, sweep jobs and optimise
-///     evaluations all share it);
+///     signatures seeds the t=0 consistency iterations of any plain run,
+///     sweep job or optimise evaluation whose parameter vector was
+///     converged before;
 ///   - a bounded SessionPool of fully prepared sessions lets a repeated
-///     spec skip model assembly and initialisation entirely.
+///     plain run skip model assembly and initialisation entirely.
+/// Checkpointed run/sweep/resume requests bypass both the pool and the op
+/// cache (a chunked march is prepared per request from a cold start).
 ///
 /// Determinism contract: because cross-request seeds use exact signatures
 /// (warm_start_quantum 0), a seeded solve converges to the very operating
@@ -34,21 +39,21 @@
 #include <unordered_set>
 
 #include "core/thread_annotations.hpp"
-#include "experiments/scenarios.hpp"
-#include "experiments/warm_start.hpp"
 #include "io/json.hpp"
+#include "serve/executor.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/session_pool.hpp"
 
 namespace ehsim::serve {
 
 struct ServerOptions {
-  /// Sweep worker threads (0: the sweep spec's own setting, then hardware
-  /// concurrency). Runs and optimise loops are inherently serial.
+  /// Batch worker threads of sweeps, ensembles and accuracy measurements
+  /// (0: the spec's own setting, then hardware concurrency). Runs and
+  /// optimise/autotune searches are inherently serial.
   std::size_t threads = 0;
-  /// Non-empty: also write each result to disk exactly as the one-shot CLI
-  /// would (<stem>.result.json / .trace.csv / .optimise.json under this
-  /// directory) via io::write_result_files.
+  /// Non-empty: also write each request's files to disk exactly as the
+  /// one-shot CLI would (<stem>.result.json / .trace.csv and the
+  /// <stem>.optimise/.ensemble/.accuracy/.autotune documents) under this
+  /// directory.
   std::string out_dir{};
   /// Job-queue ring capacity (blocking back-pressure past this depth).
   std::size_t queue_capacity = 16;
@@ -77,10 +82,6 @@ class Server {
   int run();
 
  private:
-  [[nodiscard]] bool caches_on() const noexcept {
-    return options_.cross_request_caches;
-  }
-
   void emit(const io::JsonValue& event) EHSIM_EXCLUDES(out_mutex_);
   void emit_error(std::uint64_t id, bool has_id, const std::string& message,
                   const std::string& key) EHSIM_EXCLUDES(stats_mutex_, out_mutex_);
@@ -93,56 +94,18 @@ class Server {
   void count_completed() EHSIM_EXCLUDES(stats_mutex_);
 
   void worker_loop();
-  void execute(const Request& request);
-  void handle_run(const Request& request);
-  void handle_sweep(const Request& request);
-  void handle_optimise(const Request& request);
-  void handle_ensemble(const Request& request);
-  /// Oracle-vs-fast-path error measurement of an experiment or sweep spec;
-  /// emits the AccuracyReport document and writes <name>.accuracy.json.
-  void handle_accuracy(const Request& request);
-  /// Error-budget knob search of an autotune spec; emits the deterministic
-  /// AutotuneResult document plus the chosen configuration's run, and
-  /// mirrors `ehsim autotune --out` on disk.
-  void handle_autotune(const Request& request);
-  /// Dispatches the resumed spec flavour back onto the checkpointed
-  /// run/sweep path with CheckpointOptions::resume set.
-  void handle_resume(const Request& request);
-
-  /// Checkpointed run/sweep/resume executor shared by handle_run,
-  /// handle_sweep and handle_resume: periodic per-job checkpoint files plus
-  /// one "checkpoint" event per committed file. Bypasses the session pool
-  /// (a chunked march is prepared per request), but keeps the cross-request
-  /// operating-point cache semantics of the plain paths.
-  void run_checkpointed(const Request& request, bool resume);
-
-  /// Emit per-probe summary + result events and write result files for one
-  /// run/sweep result (the shared tail of every scenario-producing handler).
-  void emit_scenario_result(const Request& request, const char* type,
-                            const experiments::ScenarioResult& result,
-                            std::size_t job, std::size_t jobs);
-
-  /// Cross-request operating-point bookkeeping after prepare_run: seeded
-  /// runs count a hit, rejected seeds are healed with the cold fallback's
-  /// point, and cold-converged points are stored (first store wins).
-  void note_outcome(std::uint64_t signature, const experiments::PreparedRun& run);
-
-  /// Prepare a fresh run for \p spec, seeding from the cross-request
-  /// operating-point cache when possible.
-  [[nodiscard]] experiments::PreparedRun prepare_seeded(
-      const experiments::ExperimentSpec& spec);
-
-  void write_scenario_files(const experiments::ScenarioResult& result);
+  /// Answer one dequeued request: control types here, job types through
+  /// the executor with the NDJSON sink; failures become error events.
+  void process(const Request& request);
 
   std::istream& in_;
-  ServerOptions options_;
 
   JobQueue queue_;
-  SessionPool pool_;
-  /// Exact-signature (quantum 0) operating-point store shared by runs,
-  /// sweeps and optimise evaluations. Internally synchronised; populated by
-  /// the worker thread, read by sweep pool workers during a fan-out.
-  experiments::OperatingPointCache op_cache_;
+  /// The executor's overrides and cross-request caches. Touched only by the
+  /// worker thread (jobs and stats run there, in queue order); the op cache
+  /// inside is also read by sweep pool workers during a fan-out and is
+  /// internally synchronised.
+  ExecContext context_;
 
   // Lock hierarchy (docs/concurrency.md): cancel_mutex_ and stats_mutex_
   // are bookkeeping locks acquired strictly before (never inside) the
@@ -156,18 +119,14 @@ class Server {
   core::Mutex cancel_mutex_;
   std::unordered_set<std::uint64_t> cancel_set_ EHSIM_GUARDED_BY(cancel_mutex_);
 
-  /// Request and cross-request cache counters. One mutex guards them all so
-  /// a `stats` snapshot is atomic with respect to both the reader thread
-  /// (received/errors) and the worker thread (everything else).
+  /// Request counters. One mutex guards them all so a `stats` snapshot is
+  /// atomic with respect to both the reader thread (received/errors) and
+  /// the worker thread (everything else).
   mutable core::Mutex stats_mutex_;
   std::size_t received_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
   std::size_t completed_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
   std::size_t errors_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
   std::size_t cancelled_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t op_seeded_runs_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t op_stored_points_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t optimise_cross_hits_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t optimise_cross_stores_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
 };
 
 }  // namespace ehsim::serve

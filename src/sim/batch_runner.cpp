@@ -1,25 +1,24 @@
 #include "sim/batch_runner.hpp"
 
+#include <algorithm>
 #include <exception>
+#include <limits>
 #include <latch>
 #include <thread>
 
 namespace ehsim::sim {
 
-namespace {
-
-std::size_t resolve_threads(std::size_t threads) {
-  if (threads != 0) {
-    return threads;
+std::size_t resolve_worker_count(std::size_t requested, std::size_t tasks) {
+  if (requested == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    requested = hw == 0 ? 1 : static_cast<std::size_t>(hw);
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return std::clamp<std::size_t>(requested, 1, std::max<std::size_t>(tasks, 1));
 }
 
-}  // namespace
-
 BatchRunner::BatchRunner(std::size_t threads) {
-  const std::size_t n = resolve_threads(threads);
+  const std::size_t n =
+      resolve_worker_count(threads, std::numeric_limits<std::size_t>::max());
   if (n > 1) {
     pool_ = std::make_unique<ThreadPool>(n);
   }

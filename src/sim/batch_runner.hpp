@@ -31,6 +31,11 @@
 
 namespace ehsim::sim {
 
+/// The worker count for \p tasks independent tasks: \p requested (0: the
+/// hardware concurrency) clamped to [1, max(tasks, 1)], so a batch never
+/// starts a thread it has no task for.
+[[nodiscard]] std::size_t resolve_worker_count(std::size_t requested, std::size_t tasks);
+
 class BatchRunner {
  public:
   /// \param threads worker count; 0 picks std::thread::hardware_concurrency,

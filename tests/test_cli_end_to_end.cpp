@@ -8,6 +8,7 @@
 /// suite (~15 s); it is also the one that pins the whole spec -> JSON ->
 /// CLI -> engine -> CSV pipeline bit-for-bit.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -234,6 +235,81 @@ TEST(EhsimCli, RemovedKernelAndAutotuneKernelsKeyRejected) {
     EXPECT_NE(err.find(c.expected), std::string::npos) << command << "\n" << err;
   }
 
+  std::filesystem::remove_all(dir);
+}
+
+/// Exit status of a std::system call (-1 when the child did not exit).
+int exit_status(const std::string& command) {
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Every job verb handed a spec of a flavour it does not take fails with
+/// exit 1 and an error naming the verb invoked, the spec's flavour and the
+/// verb that does take it.
+TEST(EhsimCli, WrongFlavourErrorsNameVerbFlavourAndAcceptingVerb) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "ehsim_cli_wrong_flavour";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string golden = std::string(EHSIM_SOURCE_DIR) + "/tests/golden/";
+  const std::string examples = std::string(EHSIM_SOURCE_DIR) + "/examples/specs/";
+  const struct {
+    std::string verb;
+    std::string spec;
+    std::string flavour;
+    std::string use;
+  } cases[] = {
+      {"run", golden + "golden_optimise.json", "an optimise spec", "ehsim optimise"},
+      {"sweep", golden + "golden_charging.json", "an experiment spec", "ehsim run"},
+      {"resume", golden + "golden_autotune.json", "an autotune spec", "ehsim autotune"},
+      {"ensemble", golden + "golden_serve_sweep.json", "a sweep spec", "ehsim run"},
+      {"optimise", examples + "drift_ensemble.json", "an ensemble spec", "ehsim ensemble"},
+      {"verify-accuracy", golden + "golden_optimise.json", "an optimise spec",
+       "ehsim optimise"},
+      {"autotune", golden + "golden_charging.json", "an experiment spec", "ehsim run"},
+  };
+  const std::string err_path = (dir / "stderr.txt").string();
+  for (const auto& c : cases) {
+    const std::string command = std::string("\"") + EHSIM_CLI_PATH + "\" " + c.verb + " \"" +
+                                c.spec + "\" --out \"" + dir.string() + "\" --quiet 2> \"" +
+                                err_path + "\"";
+    EXPECT_EQ(exit_status(command), 1) << command;
+    const std::string err = ehsim::io::read_file(err_path);
+    EXPECT_NE(err.find("ehsim " + c.verb + ":"), std::string::npos) << command << "\n" << err;
+    EXPECT_NE(err.find(c.flavour), std::string::npos) << command << "\n" << err;
+    EXPECT_NE(err.find("use `" + c.use + "`"), std::string::npos) << command << "\n" << err;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// Numeric flags parse strictly: a negative or non-numeric worker count is
+/// rejected up front (exit 1) with an error naming the flag, before any
+/// spec is loaded or any thread started.
+TEST(EhsimCli, NumericFlagsRejectNegativeAndNonNumericValues) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "ehsim_cli_numeric_flags";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string charging =
+      std::string(EHSIM_SOURCE_DIR) + "/tests/golden/golden_charging.json";
+  const std::string cases[] = {
+      "run \"" + charging + "\" --threads -1",
+      "run \"" + charging + "\" --threads abc",
+      "serve --threads -1",
+      "serve --queue 12x",
+  };
+  const std::string err_path = (dir / "stderr.txt").string();
+  for (const std::string& args : cases) {
+    const std::string command = std::string("\"") + EHSIM_CLI_PATH + "\" " + args +
+                                " --out \"" + dir.string() + "\" < /dev/null 2> \"" +
+                                err_path + "\"";
+    EXPECT_EQ(exit_status(command), 1) << command;
+    const std::string err = ehsim::io::read_file(err_path);
+    const std::string flag = args.find("--queue") != std::string::npos ? "--queue" : "--threads";
+    EXPECT_NE(err.find(flag), std::string::npos) << command << "\n" << err;
+    EXPECT_FALSE(std::filesystem::exists(dir / "golden-charging.result.json")) << command;
+  }
   std::filesystem::remove_all(dir);
 }
 

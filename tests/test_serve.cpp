@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "experiments/accuracy.hpp"
+#include "experiments/autotune.hpp"
 #include "experiments/ensemble.hpp"
 #include "experiments/optimise_spec.hpp"
 #include "experiments/scenarios.hpp"
@@ -778,6 +781,126 @@ TEST(ServeServer, EnsembleStreamsStatisticsBitIdenticalToDirect) {
   EXPECT_EQ(results[0].at("replicas").as_number(), 3.0);
   const experiments::EnsembleResult cold = experiments::run_ensemble(ensemble);
   expect_identical(io::to_json(cold), results[0].at("result"));
+}
+
+// ---- serve vs one-shot parity of the document verbs -------------------------
+
+/// Exact equality (rtol 0, atol 0) ignoring only cpu_seconds — stricter than
+/// expect_identical: these requests never touch the cross-request caches.
+void expect_exact(const JsonValue& expected, const JsonValue& actual, const std::string& what) {
+  io::CompareOptions options;
+  options.rtol = 0.0;
+  options.atol = 0.0;
+  options.ignore_keys = {"cpu_seconds"};
+  for (const std::string& diff : io::compare_json(expected, actual, options)) {
+    ADD_FAILURE() << what << ": " << diff;
+  }
+}
+
+/// The result/trace pair the one-shot CLI writes for \p run must be on disk
+/// under \p dir, equal to it.
+void expect_result_files(const std::filesystem::path& dir,
+                         const experiments::ScenarioResult& run) {
+  const std::filesystem::path stem = dir / io::safe_file_stem(run.scenario);
+  const std::string json_path = stem.string() + ".result.json";
+  ASSERT_TRUE(std::filesystem::exists(json_path)) << json_path;
+  expect_exact(io::to_json(run), JsonValue::parse(io::read_file(json_path)), json_path);
+  std::ostringstream csv;
+  io::write_trace_csv(csv, run);
+  EXPECT_EQ(csv.str(), io::read_file(stem.string() + ".trace.csv")) << stem;
+}
+
+/// The single "result" event of a document request.
+JsonValue document_event(const std::vector<JsonValue>& events, const char* type) {
+  const std::vector<JsonValue> results = events_of(events, "result", 1);
+  EXPECT_EQ(results.size(), 1u);
+  EXPECT_TRUE(events_of(events, "error", 1).empty());
+  if (results.empty()) return JsonValue::make_object();
+  EXPECT_EQ(results[0].at("type").as_string(), type);
+  return results[0];
+}
+
+TEST(ServeServer, AutotuneMatchesOneShotAndWritesItsFiles) {
+  const std::string path = std::string(EHSIM_SOURCE_DIR) + "/tests/golden/golden_autotune.json";
+  const experiments::AutotuneSpec spec = *io::load_spec_file(path).get_if<experiments::AutotuneSpec>();
+  // Warm the process-wide diode-table cache so both sides report the same
+  // shared_diode_table state.
+  (void)experiments::run_experiment(spec.base);
+  const experiments::AutotuneOutcome direct = experiments::run_autotune(spec);
+
+  ScratchDir out("autotune_out");
+  ServerOptions options;
+  options.out_dir = out.str();
+  JsonValue request = JsonValue::make_object();
+  request.set("id", 1.0);
+  request.set("type", "autotune");
+  request.set("spec_path", path);
+  const std::vector<JsonValue> events =
+      serve_session(request.dump(-1) + "\n" + control(2, "shutdown") + "\n", options);
+
+  const JsonValue done = document_event(events, "autotune");
+  EXPECT_EQ(done.at("evaluations").as_number(), static_cast<double>(direct.result.evaluations));
+  expect_exact(io::to_json(direct.result), done.at("result"), "result event");
+  // The chosen configuration's probes are summarised before the result.
+  EXPECT_EQ(events_of(events, "probes", 1).size(), 1u);
+
+  const std::filesystem::path document =
+      out.path / (io::safe_file_stem(direct.result.name) + ".autotune.json");
+  expect_exact(io::to_json(direct.result), JsonValue::parse(io::read_file(document.string())),
+               document.string());
+  expect_result_files(out.path, direct.best_run);
+}
+
+TEST(ServeServer, AccuracyMatchesOneShotAndWritesItsReport) {
+  const ExperimentSpec spec = tiny_spec("serve-accuracy");
+  (void)experiments::run_experiment(spec);
+  const experiments::AccuracyReport direct = experiments::run_accuracy(spec);
+
+  ScratchDir out("accuracy_out");
+  ServerOptions options;
+  options.out_dir = out.str();
+  const std::vector<JsonValue> events = serve_session(
+      envelope(1, "accuracy", io::to_json(spec)) + "\n" + control(2, "shutdown") + "\n",
+      options);
+
+  const JsonValue done = document_event(events, "accuracy");
+  EXPECT_EQ(done.at("kernels").as_number(), static_cast<double>(direct.kernels.size()));
+  expect_exact(io::to_json(direct), done.at("result"), "result event");
+
+  const std::filesystem::path document =
+      out.path / (io::safe_file_stem(direct.name) + ".accuracy.json");
+  expect_exact(io::to_json(direct), JsonValue::parse(io::read_file(document.string())),
+               document.string());
+  // A measurement writes its report and nothing else.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(out.path),
+                          std::filesystem::directory_iterator{}),
+            1);
+}
+
+TEST(ServeServer, EnsembleWithOutDirWritesTheOneShotFiles) {
+  experiments::EnsembleSpec ensemble;
+  ensemble.base = tiny_walk_spec("serve-ensemble-files");
+  ensemble.seeds = {4, 9, 2};
+  (void)experiments::run_experiment(ensemble.base);
+  const experiments::EnsembleResult direct = experiments::run_ensemble(ensemble);
+
+  ScratchDir out("ensemble_out");
+  ServerOptions options;
+  options.out_dir = out.str();
+  const std::vector<JsonValue> events = serve_session(
+      envelope(1, "ensemble", io::to_json(ensemble)) + "\n" + control(2, "shutdown") + "\n",
+      options);
+
+  const JsonValue done = document_event(events, "ensemble");
+  expect_exact(io::to_json(direct), done.at("result"), "result event");
+  const std::filesystem::path document =
+      out.path / (io::safe_file_stem(direct.name) + ".ensemble.json");
+  expect_exact(io::to_json(direct), JsonValue::parse(io::read_file(document.string())),
+               document.string());
+  ASSERT_EQ(direct.runs.size(), 3u);
+  for (const experiments::ScenarioResult& replica : direct.runs) {
+    expect_result_files(out.path, replica);
+  }
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 /// its model/engine/trace and slot i is written only by job i.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -97,6 +99,24 @@ TEST(BatchRunner, LowestIndexExceptionWinsAfterDrain) {
   // The pool survives a failed batch.
   const auto results = runner.map<int>(3, [](std::size_t i) { return static_cast<int>(i); });
   EXPECT_EQ(results, (std::vector<int>{0, 1, 2}));
+}
+
+/// Pure check of the one worker-count rule every batch site uses: the
+/// request (0: hardware concurrency) clamped to [1, max(tasks, 1)]. No
+/// runner is built, so no thread is started.
+TEST(BatchRunner, WorkerCountIsClampedToTheTaskCount) {
+  using ehsim::sim::resolve_worker_count;
+  constexpr std::size_t kHuge = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(resolve_worker_count(1, 10), 1u);
+  EXPECT_EQ(resolve_worker_count(4, 10), 4u);
+  EXPECT_EQ(resolve_worker_count(8, 3), 3u);
+  EXPECT_EQ(resolve_worker_count(kHuge, 2), 2u);
+  EXPECT_EQ(resolve_worker_count(kHuge, 0), 1u);
+  EXPECT_EQ(resolve_worker_count(3, 0), 1u);
+  const std::size_t hardware = resolve_worker_count(0, kHuge);
+  EXPECT_GE(hardware, 1u);
+  EXPECT_EQ(resolve_worker_count(0, 1), 1u);
+  EXPECT_EQ(resolve_worker_count(0, 5), std::min<std::size_t>(hardware, 5));
 }
 
 TEST(BatchRunner, EmptyBatchIsANoOp) {

@@ -18,12 +18,15 @@
 ///   ehsim compare expected actual [--rtol R] [--atol A] [--ignore k1,k2,...]
 ///   ehsim params
 ///
-/// `run` accepts experiment and sweep spec types; `sweep` insists on a sweep
-/// file; `optimise` insists on an optimise file and writes the search log +
-/// optimum as <name>.optimise.json; `ensemble` insists on an ensemble file
-/// and writes <name>.ensemble.json plus every replica's result files.
-/// Results land as <name>.result.json plus
-/// <name>.trace.csv per job under --out (default: current directory).
+/// The seven job verbs (run, sweep, resume, ensemble, optimise,
+/// verify-accuracy, autotune) share one body: argv becomes a serve::Request
+/// plus an ExecContext, the job executor (serve/executor.hpp) — the same one
+/// the serve daemon uses — runs it with the cross-request caches off, and a
+/// sink prints the summary. The executor's flavour table decides which spec
+/// each verb takes (`run` accepts experiment and sweep specs) and which
+/// files it writes under --out (default: current directory): <name>.result.json
+/// plus <name>.trace.csv per run, and the <name>.<type>.json document of an
+/// optimise, ensemble, accuracy or autotune request.
 /// `run`/`sweep` take --checkpoint-every S --checkpoint-dir D to write
 /// periodic per-job checkpoint files; `resume` continues a killed
 /// checkpointed run from those files, bit-identical to the uninterrupted
@@ -34,14 +37,18 @@
 /// exits non-zero on mismatch — the golden-output CI tests are exactly
 /// `ehsim run`/`ehsim optimise` + `ehsim compare`. `echo` parses and
 /// re-serialises a spec (round-trip check / canonical formatting).
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,6 +59,7 @@
 #include "io/compare.hpp"
 #include "io/json.hpp"
 #include "io/spec_json.hpp"
+#include "serve/executor.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -116,7 +124,8 @@ int usage(std::FILE* where = stderr) {
                "      [--pool N] [--cold]\n"
                "      Long-lived simulation service: read newline-delimited request\n"
                "      envelopes ({\"id\":..,\"type\":\"run|sweep|optimise|ensemble|resume|\n"
-               "      cancel|stats|shutdown\",\"spec\":{..}} or \"spec_path\") from stdin\n"
+               "      accuracy|autotune|cancel|stats|shutdown\",\"spec\":{..}} or\n"
+               "      \"spec_path\") from stdin\n"
                "      (or --script), with an optional \"checkpoint\" block on\n"
                "      run/sweep/resume,\n"
                "      stream JSON events to stdout, and keep diode tables, operating\n"
@@ -136,56 +145,156 @@ int usage(std::FILE* where = stderr) {
   return where == stdout ? 0 : 1;
 }
 
-struct RunArgs {
+/// Parse a numeric flag value strictly: the whole text must be the number
+/// (no sign for unsigned counts, finite for reals); errors name the flag.
+template <typename T>
+T parse_flag(const std::string& flag, const std::string& text, const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && error == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+  }
+  if (!ok) {
+    throw ehsim::ModelError(flag + " expects " + expected + ", got '" + text + "'");
+  }
+  return value;
+}
+
+std::size_t parse_count(const std::string& flag, const std::string& text) {
+  return parse_flag<std::size_t>(flag, text, "a non-negative integer");
+}
+
+double parse_real(const std::string& flag, const std::string& text) {
+  return parse_flag<double>(flag, text, "a finite number");
+}
+
+/// Split a comma list, dropping empty items.
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  while (start <= list.size()) {
+    const std::size_t comma = list.find(',', start);
+    std::string item = list.substr(start, comma - start);
+    if (!item.empty()) {
+      items.push_back(std::move(item));
+    }
+    if (comma == std::string::npos) {
+      break;
+    }
+    start = comma + 1;
+  }
+  return items;
+}
+
+/// A job verb and the request types it may carry: the first type whose
+/// flavour table (serve::expected_spec_types) accepts the spec is the one
+/// that runs, so `run` takes experiment and sweep specs alike.
+struct JobVerb {
+  const char* name;
+  std::vector<serve::RequestType> types;
+};
+
+const std::vector<JobVerb>& job_verbs() {
+  using serve::RequestType;
+  static const std::vector<JobVerb> verbs = {
+      {"run", {RequestType::kRun, RequestType::kSweep}},
+      {"sweep", {RequestType::kSweep}},
+      {"resume", {RequestType::kResume}},
+      {"ensemble", {RequestType::kEnsemble}},
+      {"optimise", {RequestType::kOptimise}},
+      {"verify-accuracy", {RequestType::kAccuracy}},
+      {"autotune", {RequestType::kAutotune}},
+  };
+  return verbs;
+}
+
+/// The first request type of \p verb that accepts \p spec's flavour.
+std::optional<serve::RequestType> accepting_type(const JobVerb& verb, const io::AnySpec& spec) {
+  for (const serve::RequestType type : verb.types) {
+    if (serve::accepts_spec(type, spec)) {
+      return type;
+    }
+  }
+  return std::nullopt;
+}
+
+/// The request type \p verb runs \p spec as; when none accepts its flavour,
+/// print which verb does and return nothing.
+std::optional<serve::RequestType> request_type_for(const JobVerb& verb, const io::AnySpec& spec,
+                                                   const std::string& path) {
+  const std::optional<serve::RequestType> type = accepting_type(verb, spec);
+  if (!type) {
+    // Every flavour has a verb (experiment and sweep: run).
+    const JobVerb& use = *std::find_if(
+        job_verbs().begin(), job_verbs().end(),
+        [&](const JobVerb& other) { return accepting_type(other, spec).has_value(); });
+    const std::string flavour = spec.type_id();
+    const char* article = flavour.find_first_of("aeiou") == 0 ? "an" : "a";
+    std::fprintf(stderr, "ehsim %s: '%s' is %s %s spec (use `ehsim %s`)\n", verb.name,
+                 path.c_str(), article, flavour.c_str(), use.name);
+  }
+  return type;
+}
+
+/// The CLI-only parts of a job invocation; everything the executor needs
+/// goes straight into the ExecContext.
+struct JobArgs {
   std::string spec_path;
-  std::size_t threads = 0;
   std::string out_dir = ".";
   std::string probes;          ///< comma list of --probes shorthands (may be empty)
-  std::string batch_kernel;    ///< jobs | lockstep (empty: spec's choice)
   std::string checkpoint_dir;  ///< empty: checkpointing off
   double checkpoint_every = 0.0;
-  int abort_after = -1;  ///< test hook: stop after N checkpoints (exit 3)
-  bool warm_start = false;
   bool quiet = false;
 };
 
-std::optional<RunArgs> parse_run_args(const std::vector<std::string>& args) {
-  RunArgs run;
+bool parse_job_args(const JobVerb& verb, const std::vector<std::string>& args, JobArgs& job,
+                    serve::ExecContext& context) {
+  const bool accuracy = verb.types.front() == serve::RequestType::kAccuracy;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--threads" && i + 1 < args.size()) {
-      run.threads = static_cast<std::size_t>(std::stoul(args[++i]));
-    } else if (arg == "--out" && i + 1 < args.size()) {
-      run.out_dir = args[++i];
-    } else if (arg == "--probes" && i + 1 < args.size()) {
-      run.probes = args[++i];
-    } else if (arg == "--batch-kernel" && i + 1 < args.size()) {
-      run.batch_kernel = args[++i];
-    } else if (arg == "--checkpoint-dir" && i + 1 < args.size()) {
-      run.checkpoint_dir = args[++i];
-    } else if (arg == "--checkpoint-every" && i + 1 < args.size()) {
-      run.checkpoint_every = std::stod(args[++i]);
-    } else if (arg == "--abort-after-checkpoints" && i + 1 < args.size()) {
-      run.abort_after = std::stoi(args[++i]);
-    } else if (arg == "--warm-start") {
-      run.warm_start = true;
+    const bool valued = i + 1 < args.size();
+    if (arg == "--threads" && valued) {
+      context.threads = parse_count(arg, args[++i]);
+    } else if (arg == "--out" && valued) {
+      job.out_dir = args[++i];
     } else if (arg == "--quiet") {
-      run.quiet = true;
+      job.quiet = true;
+    } else if (accuracy && arg == "--kernels" && valued) {
+      context.accuracy_kernels.clear();
+      for (const std::string& kernel : split_list(args[++i])) {
+        context.accuracy_kernels.push_back(experiments::parse_batch_kernel(kernel));
+      }
+    } else if (accuracy && arg == "--oracle-step" && valued) {
+      context.oracle_step = parse_real(arg, args[++i]);
+    } else if (!accuracy && arg == "--probes" && valued) {
+      job.probes = args[++i];
+    } else if (!accuracy && arg == "--batch-kernel" && valued) {
+      context.batch_kernel = experiments::parse_batch_kernel(args[++i]);
+    } else if (!accuracy && arg == "--checkpoint-dir" && valued) {
+      job.checkpoint_dir = args[++i];
+    } else if (!accuracy && arg == "--checkpoint-every" && valued) {
+      job.checkpoint_every = parse_real(arg, args[++i]);
+    } else if (!accuracy && arg == "--abort-after-checkpoints" && valued) {
+      context.abort_after = parse_flag<int>(arg, args[++i], "an integer");
+    } else if (!accuracy && arg == "--warm-start") {
+      context.warm_start = true;
     } else if (!arg.empty() && arg.front() == '-') {
-      std::fprintf(stderr, "ehsim: unknown option '%s'\n", arg.c_str());
-      return std::nullopt;
-    } else if (run.spec_path.empty()) {
-      run.spec_path = arg;
+      std::fprintf(stderr, "ehsim %s: unknown option '%s'\n", verb.name, arg.c_str());
+      return false;
+    } else if (job.spec_path.empty()) {
+      job.spec_path = arg;
     } else {
-      std::fprintf(stderr, "ehsim: unexpected argument '%s'\n", arg.c_str());
-      return std::nullopt;
+      std::fprintf(stderr, "ehsim %s: unexpected argument '%s'\n", verb.name, arg.c_str());
+      return false;
     }
   }
-  if (run.spec_path.empty()) {
-    std::fprintf(stderr, "ehsim: missing spec file\n");
-    return std::nullopt;
+  if (job.spec_path.empty()) {
+    std::fprintf(stderr, "ehsim %s: missing spec file\n", verb.name);
+    return false;
   }
-  return run;
+  return true;
 }
 
 /// Expand one --probes shorthand into a ProbeSpec: `net:<name>`,
@@ -226,36 +335,14 @@ experiments::ProbeSpec probe_from_shorthand(const std::string& item) {
 /// Append the --probes shorthands to an experiment spec (a sweep applies
 /// them to its base, so every expanded job carries them).
 void apply_probe_flag(experiments::ExperimentSpec& spec, const std::string& list) {
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string item = list.substr(start, comma - start);
-    if (!item.empty()) {
-      spec.probes.push_back(probe_from_shorthand(item));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
+  for (const std::string& item : split_list(list)) {
+    spec.probes.push_back(probe_from_shorthand(item));
   }
   spec.validate();  // catches duplicate labels against the spec's own probes
 }
 
-void write_results(const std::vector<experiments::ScenarioResult>& results,
-                   const RunArgs& args) {
-  for (const auto& result : results) {
-    // io::write_result_files is the single writer shared with the serve
-    // daemon — the serve determinism golden compares the files it produces.
-    const std::string stem = io::write_result_files(args.out_dir, result);
-    if (!args.quiet) {
-      std::printf("wrote %s.result.json (+ .trace.csv, %zu points)\n", stem.c_str(),
-                  result.time.size());
-    }
-  }
-}
-
 void print_summary(const std::vector<experiments::ScenarioResult>& results,
-                   const experiments::BatchStats* batch) {
+                   const experiments::BatchStats& batch) {
   experiments::TablePrinter table(
       {"job", "engine", "CPU", "steps", "final Vc [V]", "final f0r [Hz]"});
   for (const auto& result : results) {
@@ -266,393 +353,202 @@ void print_summary(const std::vector<experiments::ScenarioResult>& results,
                    experiments::format_double(result.final_resonance_hz, 3)});
   }
   table.print(std::cout);
-  if (batch != nullptr && batch->jobs > 1) {
-    std::printf("%zu jobs, %zu shared diode-table hits\n", batch->jobs,
-                batch->shared_table_hits);
+  if (batch.jobs > 1) {
+    std::printf("%zu jobs, %zu shared diode-table hits\n", batch.jobs, batch.shared_table_hits);
   }
-  if (batch != nullptr && (batch->warm_start_hits > 0 || batch->warm_start_rejects > 0)) {
+  if (batch.warm_start_hits > 0 || batch.warm_start_rejects > 0) {
     std::printf("warm starts: %zu seeded, %zu rejected, %llu total consistency "
                 "iterations\n",
-                batch->warm_start_hits, batch->warm_start_rejects,
-                static_cast<unsigned long long>(batch->init_iterations));
+                batch.warm_start_hits, batch.warm_start_rejects,
+                static_cast<unsigned long long>(batch.init_iterations));
   }
-  if (batch != nullptr && (batch->lockstep_groups > 0 || batch->shared_factorisations > 0)) {
+  if (batch.lockstep_groups > 0 || batch.shared_factorisations > 0) {
     std::printf("lockstep: %llu shared groups, %llu shared factorisations\n",
-                static_cast<unsigned long long>(batch->lockstep_groups),
-                static_cast<unsigned long long>(batch->shared_factorisations));
+                static_cast<unsigned long long>(batch.lockstep_groups),
+                static_cast<unsigned long long>(batch.shared_factorisations));
   }
 }
 
-/// Resolve the checkpoint flags into CheckpointOptions (empty optional:
-/// checkpointing off). --abort-after-checkpoints implies checkpointing.
-std::optional<experiments::CheckpointOptions> checkpoint_options(const RunArgs& run,
-                                                                 bool resume) {
-  if (run.checkpoint_dir.empty() && run.checkpoint_every <= 0.0 && !resume) {
-    return std::nullopt;
+void print_optimum(const experiments::OptimiseResult& result, const std::string& objective) {
+  if (result.warm_start) {
+    std::printf("warm starts: %zu seeded, %zu rejected, %llu total consistency "
+                "iterations\n",
+                result.warm_start_hits, result.warm_start_rejects,
+                static_cast<unsigned long long>(result.init_iterations));
   }
-  if (run.checkpoint_dir.empty()) {
-    throw ehsim::ModelError("--checkpoint-every needs --checkpoint-dir");
-  }
-  experiments::CheckpointOptions checkpointing;
-  checkpointing.every = run.checkpoint_every;
-  checkpointing.dir = run.checkpoint_dir;
-  checkpointing.resume = resume;
-  checkpointing.abort_after = run.abort_after;
-  return checkpointing;
-}
-
-/// `ehsim run` / `ehsim sweep` / `ehsim resume` — one body, spec-dispatched.
-/// Exit codes: 0 done, 1 usage/model error, 3 stopped by
-/// --abort-after-checkpoints (the checkpoint files are on disk for resume).
-int cmd_run(const std::vector<std::string>& args, bool require_sweep, bool resume) {
-  const auto run = parse_run_args(args);
-  if (!run) {
-    return 1;
-  }
-  io::AnySpec file = io::load_spec_file(run->spec_path);
-  const std::optional<experiments::CheckpointOptions> checkpointing =
-      checkpoint_options(*run, resume);
-
-  experiments::BatchStats batch;
-  experiments::BatchOptions options;
-  options.threads = run->threads;
-  options.warm_start = run->warm_start;
-  if (!run->batch_kernel.empty()) {
-    options.batch_kernel = experiments::parse_batch_kernel(run->batch_kernel);
-  }
-
-  // The one type-switch of the command: every other branch below is plain
-  // option plumbing shared by all spec flavours.
-  std::optional<std::vector<experiments::ScenarioResult>> results;
-  const int wrong_spec = file.dispatch(io::overloaded{
-      [&](experiments::ExperimentSpec& spec) {
-        if (require_sweep) {
-          std::fprintf(stderr, "ehsim sweep: '%s' is not a sweep spec (use `ehsim run`)\n",
-                       run->spec_path.c_str());
-          return 1;
-        }
-        if (!run->probes.empty()) {
-          apply_probe_flag(spec, run->probes);
-        }
-        // Single experiments route through the batch layer too, so
-        // --warm-start and the counters behave uniformly (one job: the
-        // producer seeds it).
-        options.threads = 1;  // one job — run inline, never spin up a pool
-        const std::vector<experiments::ScenarioJob> jobs{
-            experiments::ScenarioJob{spec, std::nullopt}};
-        results = checkpointing
-                      ? experiments::run_scenario_batch_checkpointed(jobs, options,
-                                                                     *checkpointing, &batch)
-                      : std::optional(experiments::run_scenario_batch(jobs, options, &batch));
-        return 0;
-      },
-      [&](experiments::SweepSpec& sweep) {
-        if (!run->probes.empty()) {
-          apply_probe_flag(sweep.base, run->probes);
-        }
-        options.warm_start = options.warm_start || sweep.warm_start;
-        if (run->batch_kernel.empty()) {
-          options.batch_kernel = sweep.batch_kernel;
-        }
-        results = checkpointing
-                      ? experiments::run_sweep_checkpointed(sweep, options, *checkpointing,
-                                                            &batch)
-                      : std::optional(experiments::run_sweep(sweep, options, &batch));
-        return 0;
-      },
-      [&](experiments::OptimiseSpec&) {
-        std::fprintf(stderr, "ehsim run: '%s' is an optimise spec (use `ehsim optimise`)\n",
-                     run->spec_path.c_str());
-        return 1;
-      },
-      [&](experiments::EnsembleSpec&) {
-        std::fprintf(stderr, "ehsim run: '%s' is an ensemble spec (use `ehsim ensemble`)\n",
-                     run->spec_path.c_str());
-        return 1;
-      },
-      [&](experiments::AutotuneSpec&) {
-        std::fprintf(stderr, "ehsim run: '%s' is an autotune spec (use `ehsim autotune`)\n",
-                     run->spec_path.c_str());
-        return 1;
-      }});
-  if (wrong_spec != 0) {
-    return wrong_spec;
-  }
-  if (!results) {
-    // The --abort-after-checkpoints hook stopped the run mid-flight; the
-    // checkpoint files are committed, so `ehsim resume` can finish it.
-    if (!run->quiet) {
-      std::printf("stopped after %d checkpoint(s); resume with `ehsim resume %s "
-                  "--checkpoint-dir %s`\n",
-                  run->abort_after, run->spec_path.c_str(), run->checkpoint_dir.c_str());
-    }
-    return 3;
-  }
-  write_results(*results, *run);
-  if (!run->quiet) {
-    print_summary(*results, &batch);
-  }
-  return 0;
-}
-
-int cmd_ensemble(const std::vector<std::string>& args) {
-  const auto run = parse_run_args(args);
-  if (!run) {
-    return 1;
-  }
-  if (!run->probes.empty()) {
-    std::fprintf(stderr,
-                 "ehsim ensemble: --probes is not supported (declare probes in the "
-                 "spec's base experiment)\n");
-    return 1;
-  }
-  io::AnySpec file = io::load_spec_file(run->spec_path);
-  experiments::EnsembleSpec* spec = file.get_if<experiments::EnsembleSpec>();
-  if (spec == nullptr) {
-    std::fprintf(stderr, "ehsim ensemble: '%s' is not an ensemble spec (use `ehsim run`)\n",
-                 run->spec_path.c_str());
-    return 1;
-  }
-  experiments::BatchOptions options;
-  options.threads = run->threads;
-  options.warm_start = run->warm_start || spec->warm_start;
-  options.batch_kernel = run->batch_kernel.empty()
-                             ? spec->batch_kernel
-                             : experiments::parse_batch_kernel(run->batch_kernel);
-  experiments::BatchStats batch;
-  const experiments::EnsembleResult result = experiments::run_ensemble(*spec, options, &batch);
-  const std::string stem = io::write_ensemble_result_files(run->out_dir, result);
-  if (!run->quiet) {
-    std::printf("wrote %s.ensemble.json (%zu replicas)\n", stem.c_str(), result.runs.size());
-    print_summary(result.runs, &batch);
-    std::printf("ensemble final Vc [V]: mean %s +- %s stderr (min %s, max %s)\n",
-                experiments::format_double(result.final_vc.mean, 4).c_str(),
-                experiments::format_double(result.final_vc.stderr_mean, 4).c_str(),
-                experiments::format_double(result.final_vc.minimum, 4).c_str(),
-                experiments::format_double(result.final_vc.maximum, 4).c_str());
-  }
-  return 0;
-}
-
-int cmd_optimise(const std::vector<std::string>& args) {
-  const auto run = parse_run_args(args);
-  if (!run) {
-    return 1;
-  }
-  if (!run->probes.empty()) {
-    std::fprintf(stderr,
-                 "ehsim optimise: --probes is not supported (declare probes in the "
-                 "spec's base experiment)\n");
-    return 1;
-  }
-  if (run->threads != 0) {
-    std::fprintf(stderr,
-                 "ehsim optimise: --threads is not supported (every line-search "
-                 "probe depends on the previous bracket)\n");
-    return 1;
-  }
-  io::AnySpec file = io::load_spec_file(run->spec_path);
-  experiments::OptimiseSpec* optimise = file.get_if<experiments::OptimiseSpec>();
-  if (optimise == nullptr) {
-    std::fprintf(stderr, "ehsim optimise: '%s' is not an optimise spec (use `ehsim run`)\n",
-                 run->spec_path.c_str());
-    return 1;
-  }
-  if (run->warm_start) {
-    optimise->warm_start = true;
-  }
-
-  const experiments::OptimiseResult result = experiments::run_optimise(*optimise);
-  std::filesystem::create_directories(run->out_dir);
-  const std::string stem =
-      (std::filesystem::path(run->out_dir) / io::safe_file_stem(result.name)).string();
-  io::write_file(stem + ".optimise.json", io::to_json(result).dump(2) + "\n");
-  write_results({result.best_run}, *run);
-  if (!run->quiet) {
-    std::printf("wrote %s.optimise.json (%zu evaluations)\n", stem.c_str(),
-                result.evaluations.size());
-    if (result.warm_start) {
-      std::printf("warm starts: %zu seeded, %zu rejected, %llu total consistency "
-                  "iterations\n",
-                  result.warm_start_hits, result.warm_start_rejects,
-                  static_cast<unsigned long long>(result.init_iterations));
-    }
-    if (!result.variables.empty()) {
-      // Multi-variable coordinate descent: one "path = value" per axis.
-      std::string point;
-      for (std::size_t i = 0; i < result.variables.size(); ++i) {
-        if (i > 0) {
-          point += ", ";
-        }
-        point += result.variables[i] + " = " +
-                 experiments::format_double(result.best_nd.x[i], 6);
-      }
-      std::printf("%s %s: best %s = %s at %s (%zu sweeps, %s of probe '%s')\n",
-                  result.maximise ? "maximised" : "minimised", result.name.c_str(),
-                  result.statistic.c_str(),
-                  experiments::format_double(result.best_nd.value, 6).c_str(),
-                  point.c_str(), result.best_nd.sweeps, result.statistic.c_str(),
-                  optimise->objective.c_str());
-    } else {
-      std::printf("%s %s: best %s = %s at %s (%s of probe '%s')\n",
-                  result.maximise ? "maximised" : "minimised", result.name.c_str(),
-                  result.statistic.c_str(),
-                  experiments::format_double(result.best.value, 6).c_str(),
-                  (result.variable + " = " + experiments::format_double(result.best.x, 6))
-                      .c_str(),
-                  result.statistic.c_str(), optimise->objective.c_str());
-    }
-  }
-  return 0;
-}
-
-/// Parse a comma list of batch-kernel ids ("jobs,lockstep").
-std::vector<experiments::BatchKernel> parse_kernel_list(const std::string& list) {
-  std::vector<experiments::BatchKernel> kernels;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string item = list.substr(start, comma - start);
-    if (!item.empty()) {
-      kernels.push_back(experiments::parse_batch_kernel(item));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return kernels;
-}
-
-/// `ehsim verify-accuracy` — run a spec on the extended-precision reference
-/// oracle and on the fast path (once per batch kernel), write the measured
-/// error bounds as <name>.accuracy.json.
-int cmd_verify_accuracy(const std::vector<std::string>& args) {
-  std::string spec_path;
-  std::string kernels;
-  experiments::AccuracyOptions options;
-  std::string out_dir = ".";
-  bool quiet = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--kernels" && i + 1 < args.size()) {
-      kernels = args[++i];
-    } else if (arg == "--oracle-step" && i + 1 < args.size()) {
-      options.oracle_step = std::stod(args[++i]);
-    } else if (arg == "--threads" && i + 1 < args.size()) {
-      options.threads = static_cast<std::size_t>(std::stoul(args[++i]));
-    } else if (arg == "--out" && i + 1 < args.size()) {
-      out_dir = args[++i];
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::fprintf(stderr, "ehsim verify-accuracy: unknown option '%s'\n", arg.c_str());
-      return 1;
-    } else if (spec_path.empty()) {
-      spec_path = arg;
-    } else {
-      std::fprintf(stderr, "ehsim verify-accuracy: unexpected argument '%s'\n", arg.c_str());
-      return 1;
-    }
-  }
-  if (spec_path.empty()) {
-    std::fprintf(stderr, "ehsim verify-accuracy: missing spec file\n");
-    return 1;
-  }
-  if (!kernels.empty()) {
-    options.kernels = parse_kernel_list(kernels);
-  }
-  io::AnySpec file = io::load_spec_file(spec_path);
-  std::optional<experiments::AccuracyReport> report;
-  const int wrong_spec = file.dispatch(io::overloaded{
-      [&](const experiments::ExperimentSpec& spec) {
-        report = experiments::run_accuracy(spec, options);
-        return 0;
-      },
-      [&](const experiments::SweepSpec& sweep) {
-        report = experiments::run_accuracy(sweep, options);
-        return 0;
-      },
-      [&](const auto&) {
-        std::fprintf(stderr,
-                     "ehsim verify-accuracy: '%s' is not an experiment or sweep spec\n",
-                     spec_path.c_str());
-        return 1;
-      }});
-  if (wrong_spec != 0) {
-    return wrong_spec;
-  }
-  std::filesystem::create_directories(out_dir);
-  const std::string stem =
-      (std::filesystem::path(out_dir) / io::safe_file_stem(report->name)).string();
-  io::write_file(stem + ".accuracy.json", io::to_json(*report).dump(2) + "\n");
-  if (!quiet) {
-    std::printf("wrote %s.accuracy.json (oracle: %llu steps at h = %g s)\n", stem.c_str(),
-                static_cast<unsigned long long>(report->oracle_steps), report->oracle_step);
-    experiments::TablePrinter table(
-        {"kernel", "jobs", "max |Vc| rel err", "final Vc rel err", "energy rel err"});
-    for (const experiments::KernelAccuracy& row : report->kernels) {
-      table.add_row({row.kernel, std::to_string(row.jobs.size()),
-                     experiments::format_double(row.bounds.vc_max_rel_error, 6),
-                     experiments::format_double(row.bounds.final_vc_rel_error, 6),
-                     experiments::format_double(row.bounds.energy_rel_error, 6)});
-    }
-    table.print(std::cout);
-  }
-  return 0;
-}
-
-/// `ehsim autotune` — run an autotune spec, write the deterministic search
-/// record as <name>.autotune.json plus the chosen configuration's result
-/// and trace files.
-int cmd_autotune(const std::vector<std::string>& args) {
-  const auto run = parse_run_args(args);
-  if (!run) {
-    return 1;
-  }
-  if (!run->probes.empty() || run->threads != 0) {
-    std::fprintf(stderr,
-                 "ehsim autotune: --probes/--threads are not supported (the search is "
-                 "sequential; declare probes in the spec's base experiment)\n");
-    return 1;
-  }
-  io::AnySpec file = io::load_spec_file(run->spec_path);
-  const experiments::AutotuneSpec* spec = file.get_if<experiments::AutotuneSpec>();
-  if (spec == nullptr) {
-    std::fprintf(stderr, "ehsim autotune: '%s' is not an autotune spec (use `ehsim run`)\n",
-                 run->spec_path.c_str());
-    return 1;
-  }
-  const experiments::AutotuneOutcome outcome = experiments::run_autotune(*spec);
-  const experiments::AutotuneResult& result = outcome.result;
-  std::filesystem::create_directories(run->out_dir);
-  const std::string stem =
-      (std::filesystem::path(run->out_dir) / io::safe_file_stem(result.name)).string();
-  io::write_file(stem + ".autotune.json", io::to_json(result).dump(2) + "\n");
-  write_results({outcome.best_run}, *run);
-  if (!run->quiet) {
-    std::printf("wrote %s.autotune.json (%llu evaluations, %llu sweeps)\n", stem.c_str(),
-                static_cast<unsigned long long>(result.evaluations),
-                static_cast<unsigned long long>(result.sweeps));
+  if (!result.variables.empty()) {
+    // Multi-variable coordinate descent: one "path = value" per axis.
     std::string point;
-    for (std::size_t i = 0; i < result.paths.size(); ++i) {
+    for (std::size_t i = 0; i < result.variables.size(); ++i) {
       if (i > 0) {
         point += ", ";
       }
-      point += result.paths[i] + " = " +
-               experiments::format_double(result.chosen_values[i], 6);
+      point += result.variables[i] + " = " + experiments::format_double(result.best_nd.x[i], 6);
     }
-    if (result.feasible) {
-      std::printf("chosen: %s — cost %s (%.1f%% of baseline), error %s within budget %s\n",
-                  point.c_str(), experiments::format_double(result.chosen_cost, 0).c_str(),
-                  100.0 * result.cost_ratio,
-                  experiments::format_double(result.chosen_error, 6).c_str(),
-                  experiments::format_double(result.error_budget, 6).c_str());
-    } else {
-      std::printf("no configuration met the budget %s; closest: %s (error %s)\n",
-                  experiments::format_double(result.error_budget, 6).c_str(), point.c_str(),
-                  experiments::format_double(result.chosen_error, 6).c_str());
+    std::printf("%s %s: best %s = %s at %s (%zu sweeps, %s of probe '%s')\n",
+                result.maximise ? "maximised" : "minimised", result.name.c_str(),
+                result.statistic.c_str(),
+                experiments::format_double(result.best_nd.value, 6).c_str(), point.c_str(),
+                result.best_nd.sweeps, result.statistic.c_str(), objective.c_str());
+  } else {
+    std::printf("%s %s: best %s = %s at %s (%s of probe '%s')\n",
+                result.maximise ? "maximised" : "minimised", result.name.c_str(),
+                result.statistic.c_str(),
+                experiments::format_double(result.best.value, 6).c_str(),
+                (result.variable + " = " + experiments::format_double(result.best.x, 6)).c_str(),
+                result.statistic.c_str(), objective.c_str());
+  }
+}
+
+void print_accuracy(const experiments::AccuracyReport& report) {
+  experiments::TablePrinter table(
+      {"kernel", "jobs", "max |Vc| rel err", "final Vc rel err", "energy rel err"});
+  for (const experiments::KernelAccuracy& row : report.kernels) {
+    table.add_row({row.kernel, std::to_string(row.jobs.size()),
+                   experiments::format_double(row.bounds.vc_max_rel_error, 6),
+                   experiments::format_double(row.bounds.final_vc_rel_error, 6),
+                   experiments::format_double(row.bounds.energy_rel_error, 6)});
+  }
+  table.print(std::cout);
+}
+
+void print_autotune(const experiments::AutotuneResult& result) {
+  std::string point;
+  for (std::size_t i = 0; i < result.paths.size(); ++i) {
+    if (i > 0) {
+      point += ", ";
     }
+    point += result.paths[i] + " = " + experiments::format_double(result.chosen_values[i], 6);
+  }
+  if (result.feasible) {
+    std::printf("chosen: %s — cost %s (%.1f%% of baseline), error %s within budget %s\n",
+                point.c_str(), experiments::format_double(result.chosen_cost, 0).c_str(),
+                100.0 * result.cost_ratio,
+                experiments::format_double(result.chosen_error, 6).c_str(),
+                experiments::format_double(result.error_budget, 6).c_str());
+  } else {
+    std::printf("no configuration met the budget %s; closest: %s (error %s)\n",
+                experiments::format_double(result.error_budget, 6).c_str(), point.c_str(),
+                experiments::format_double(result.chosen_error, 6).c_str());
+  }
+}
+
+/// The CLI's EventSink: once a request's files are on disk, print what it
+/// wrote and its summary to stdout (nothing under --quiet).
+class SummarySink final : public serve::EventSink {
+ public:
+  SummarySink(std::string out_dir, bool quiet) : out_dir_(std::move(out_dir)), quiet_(quiet) {}
+
+  void written(const serve::Request& request, const serve::JobResult& result) override {
+    if (quiet_) {
+      return;
+    }
+    // A document lands as <stem>.<request type>.json (io::write_document_file).
+    const char* kind = serve::request_type_id(request.type);
+    for (const auto& run : result.runs) {
+      std::printf("wrote %s.result.json (+ .trace.csv, %zu points)\n",
+                  stem(run.scenario).c_str(), run.time.size());
+    }
+    std::visit(
+        io::overloaded{
+            [&](std::monostate) { print_summary(result.runs, result.batch); },
+            [&](const experiments::OptimiseResult& optimum) {
+              std::printf("wrote %s.%s.json (%zu evaluations)\n", stem(optimum.name).c_str(),
+                          kind, optimum.evaluations.size());
+              print_optimum(optimum, request.spec.get_if<experiments::OptimiseSpec>()->objective);
+            },
+            [&](const experiments::EnsembleResult& ensemble) {
+              std::printf("wrote %s.%s.json (%zu replicas)\n", stem(ensemble.name).c_str(),
+                          kind, ensemble.runs.size());
+              print_summary(ensemble.runs, result.batch);
+              std::printf("ensemble final Vc [V]: mean %s +- %s stderr (min %s, max %s)\n",
+                          experiments::format_double(ensemble.final_vc.mean, 4).c_str(),
+                          experiments::format_double(ensemble.final_vc.stderr_mean, 4).c_str(),
+                          experiments::format_double(ensemble.final_vc.minimum, 4).c_str(),
+                          experiments::format_double(ensemble.final_vc.maximum, 4).c_str());
+            },
+            [&](const experiments::AccuracyReport& report) {
+              std::printf("wrote %s.%s.json (oracle: %llu steps at h = %g s)\n",
+                          stem(report.name).c_str(), kind,
+                          static_cast<unsigned long long>(report.oracle_steps),
+                          report.oracle_step);
+              print_accuracy(report);
+            },
+            [&](const experiments::AutotuneResult& autotune) {
+              std::printf("wrote %s.%s.json (%llu evaluations, %llu sweeps)\n",
+                          stem(autotune.name).c_str(), kind,
+                          static_cast<unsigned long long>(autotune.evaluations),
+                          static_cast<unsigned long long>(autotune.sweeps));
+              print_autotune(autotune);
+            }},
+        result.document);
+  }
+
+ private:
+  [[nodiscard]] std::string stem(const std::string& name) const {
+    return io::file_stem(out_dir_, name);
+  }
+
+  std::string out_dir_;
+  bool quiet_;
+};
+
+/// Every job verb: argv -> Request + ExecContext, then the one executor.
+/// Exit codes: 0 done, 1 usage/model error, 3 stopped by
+/// --abort-after-checkpoints (the checkpoint files are on disk for resume).
+int cmd_job(const JobVerb& verb, const std::vector<std::string>& args) {
+  JobArgs job;
+  serve::ExecContext context;
+  if (!parse_job_args(verb, args, job, context)) {
+    return 1;
+  }
+  context.out_dir = job.out_dir;
+  const serve::RequestType first = verb.types.front();
+  if (context.threads != 0 &&
+      (first == serve::RequestType::kOptimise || first == serve::RequestType::kAutotune)) {
+    std::fprintf(stderr,
+                 "ehsim %s: --threads is not supported (the search is sequential: every "
+                 "evaluation depends on the previous one)\n",
+                 verb.name);
+    return 1;
+  }
+  io::AnySpec spec = io::load_spec_file(job.spec_path);
+  const std::optional<serve::RequestType> type = request_type_for(verb, spec, job.spec_path);
+  if (!type) {
+    return 1;
+  }
+  if (!job.probes.empty()) {
+    auto* experiment = spec.get_if<experiments::ExperimentSpec>();
+    auto* sweep = spec.get_if<experiments::SweepSpec>();
+    if (experiment == nullptr && sweep == nullptr) {
+      std::fprintf(stderr,
+                   "ehsim %s: --probes is not supported (declare probes in the spec's base "
+                   "experiment)\n",
+                   verb.name);
+      return 1;
+    }
+    apply_probe_flag(experiment != nullptr ? *experiment : sweep->base, job.probes);
+  }
+
+  serve::Request request;
+  request.type = *type;
+  request.spec = std::move(spec);
+  if (serve::takes_checkpoint(*type) &&
+      (!job.checkpoint_dir.empty() || job.checkpoint_every > 0.0 ||
+       *type == serve::RequestType::kResume)) {
+    if (job.checkpoint_dir.empty()) {
+      throw ehsim::ModelError("--checkpoint-every needs --checkpoint-dir");
+    }
+    request.checkpoint = serve::CheckpointRequest{job.checkpoint_dir, job.checkpoint_every};
+  }
+  SummarySink sink(job.out_dir, job.quiet);
+  if (!serve::execute(request, context, sink)) {
+    if (!job.quiet) {
+      std::printf("stopped after %d checkpoint(s); resume with `ehsim resume %s "
+                  "--checkpoint-dir %s`\n",
+                  context.abort_after, job.spec_path.c_str(), job.checkpoint_dir.c_str());
+    }
+    return 3;
   }
   return 0;
 }
@@ -663,15 +559,15 @@ int cmd_serve(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--threads" && i + 1 < args.size()) {
-      options.threads = static_cast<std::size_t>(std::stoul(args[++i]));
+      options.threads = parse_count(arg, args[++i]);
     } else if (arg == "--out" && i + 1 < args.size()) {
       options.out_dir = args[++i];
     } else if (arg == "--script" && i + 1 < args.size()) {
       script = args[++i];
     } else if (arg == "--queue" && i + 1 < args.size()) {
-      options.queue_capacity = static_cast<std::size_t>(std::stoul(args[++i]));
+      options.queue_capacity = parse_count(arg, args[++i]);
     } else if (arg == "--pool" && i + 1 < args.size()) {
-      options.pool_capacity = static_cast<std::size_t>(std::stoul(args[++i]));
+      options.pool_capacity = parse_count(arg, args[++i]);
     } else if (arg == "--cold") {
       options.cross_request_caches = false;
     } else {
@@ -710,23 +606,11 @@ int cmd_compare(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--rtol" && i + 1 < args.size()) {
-      options.rtol = std::stod(args[++i]);
+      options.rtol = parse_real(arg, args[++i]);
     } else if (arg == "--atol" && i + 1 < args.size()) {
-      options.atol = std::stod(args[++i]);
+      options.atol = parse_real(arg, args[++i]);
     } else if (arg == "--ignore" && i + 1 < args.size()) {
-      std::string list = args[++i];
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string key = list.substr(start, comma - start);
-        if (!key.empty()) {
-          options.ignore_keys.push_back(key);
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        start = comma + 1;
-      }
+      options.ignore_keys = split_list(args[++i]);
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "ehsim compare: unknown option '%s'\n", arg.c_str());
       return 1;
@@ -807,26 +691,10 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const std::vector<std::string> args(argv + 2, argv + argc);
   try {
-    if (command == "run") {
-      return cmd_run(args, /*require_sweep=*/false, /*resume=*/false);
-    }
-    if (command == "sweep") {
-      return cmd_run(args, /*require_sweep=*/true, /*resume=*/false);
-    }
-    if (command == "resume") {
-      return cmd_run(args, /*require_sweep=*/false, /*resume=*/true);
-    }
-    if (command == "ensemble") {
-      return cmd_ensemble(args);
-    }
-    if (command == "optimise" || command == "optimize") {
-      return cmd_optimise(args);
-    }
-    if (command == "verify-accuracy") {
-      return cmd_verify_accuracy(args);
-    }
-    if (command == "autotune") {
-      return cmd_autotune(args);
+    for (const JobVerb& verb : job_verbs()) {
+      if (command == verb.name || (command == "optimize" && verb.name == std::string("optimise"))) {
+        return cmd_job(verb, args);
+      }
     }
     if (command == "serve") {
       return cmd_serve(args);
